@@ -5,17 +5,20 @@ The semi-discrete system is M dl/dt + A l = f(t) on the n retained nodes
 stiffness plus a Robin term at the driven end; M is one of three mass
 treatments: the consistent P1 matrix, its trapezoid-lumped diagonal, or
 the uniform diagonal diag(h, ..., h) under which the finite element
-system coincides with the bead-spring chain exactly.
+system coincides with the bead-spring chain exactly. The load acts on
+the driven node alone. Crank-Nicolson factors its tridiagonal left
+matrix once (LAPACK LDL^T), so a step costs O(n).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .model import Forcing, SwimmerParams
 
@@ -96,13 +99,29 @@ class SymTridiag:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Semi-discrete system M dl/dt + A l = load(t) on the retained nodes."""
+    """Semi-discrete system M dl/dt + A l = load(t) on the retained nodes.
+
+    The load is zero except at the driven node 0, where it is
+    f_0(t) = Re(load_amplitude * exp(i omega t)); load_amplitude is
+    -(Lambda/2) * i omega eps, the complex amplitude of -(Lambda/2) dL0/dt.
+    """
 
     grid: UniformGrid
     stiffness: SymTridiag
     mass: SymTridiag
-    load: Callable[[float], np.ndarray]
     forcing: Forcing
+    load_amplitude: complex
+
+    def node_load(self, t: float) -> float:
+        """The node-0 load f_0(t)."""
+        phase = self.forcing.omega * t
+        return self.load_amplitude.real * math.cos(phase) - self.load_amplitude.imag * math.sin(phase)
+
+    def load(self, t: float) -> np.ndarray:
+        """The full load vector at time t."""
+        f = np.zeros(self.grid.n)
+        f[0] = self.node_load(t)
+        return f
 
 
 def assemble(params: SwimmerParams, forcing: Forcing, variant: MassVariant) -> AssembledSystem:
@@ -136,25 +155,21 @@ def assemble(params: SwimmerParams, forcing: Forcing, variant: MassVariant) -> A
     else:
         raise ValueError(f"unknown mass variant {variant!r}")
 
-    def load(t: float) -> np.ndarray:
-        f = np.zeros(n)
-        f[0] = -(lam / 2.0) * float(forcing.arm_velocity(t))
-        return f
-
     return AssembledSystem(
         grid=UniformGrid(n=n, spacing=h, length=lam),
         stiffness=stiffness,
         mass=mass,
-        load=load,
         forcing=forcing,
+        load_amplitude=-(lam / 2.0) * 1j * forcing.omega * forcing.eps,
     )
 
 
 def harmonic_state(system: AssembledSystem) -> np.ndarray:
     """Complex node amplitudes of the periodic orbit of the semi-discrete system.
 
-    Solves (i*omega*M + A) u = F where F is the complex load amplitude;
-    the physical orbit is Re(u * exp(i omega t)).
+    Solves (i*omega*M + A) u = F where F is the complex load vector, zero
+    but for load_amplitude at node 0; the physical orbit is
+    Re(u * exp(i omega t)).
     """
     n = system.grid.n
     omega = system.forcing.omega
@@ -166,16 +181,17 @@ def harmonic_state(system: AssembledSystem) -> np.ndarray:
         ab[0, 1:] = off
         ab[2, :-1] = off
     rhs = np.zeros(n, dtype=complex)
-    rhs[0] = -(system.grid.length / 2.0) * 1j * omega * system.forcing.eps
+    rhs[0] = system.load_amplitude
     return sla.solve_banded((1, 1), ab, rhs)
 
 
 class CrankNicolson:
-    """Fixed-step trapezoid-rule integrator with a cached banded factorization.
+    """Fixed-step trapezoid-rule integrator with a cached tridiagonal factorization.
 
     Each step solves (M + dt/2 A) u_next = (M - dt/2 A) u + dt*(f(t)+f(t+dt))/2.
-    The left matrix is symmetric positive definite tridiagonal, so one
-    banded Cholesky factorization gives O(n) work per step.
+    The left matrix is symmetric positive definite tridiagonal; it is
+    factored once as L D L^T (LAPACK dpttrf), and a step is one matvec, one
+    update of the node-0 load and one O(n) dpttrs solve.
     """
 
     def __init__(self, system: AssembledSystem, dt: float):
@@ -185,22 +201,19 @@ class CrankNicolson:
         self.dt = dt
         plus = system.mass.add_scaled(system.stiffness, 0.5 * dt)
         self._minus = system.mass.add_scaled(system.stiffness, -0.5 * dt)
-        n = system.grid.n
-        ab = np.zeros((2, n))
-        ab[1, :] = plus.diag
-        if n > 1:
-            ab[0, 1:] = plus.off
-        self._factor = sla.cholesky_banded(ab)
+        # the LAPACK wrappers reject an empty off-diagonal, so n == 1 passes an unread zero
+        off = plus.off if plus.off.size else np.zeros(1)
+        self._d, self._e, info = dpttrf(plus.diag, off)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"M + dt/2 A is not positive definite (dpttrf info={info})")
 
     def step(self, state: np.ndarray, t: float) -> np.ndarray:
         rhs = self._minus.matvec(np.asarray(state, dtype=float))
-        rhs += 0.5 * self.dt * (self.system.load(t) + self.system.load(t + self.dt))
-        return sla.cho_solve_banded((self._factor, False), rhs)
-
-
-def step_crank_nicolson(system: AssembledSystem, state: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One step; builds and discards the factorization (use CrankNicolson in loops)."""
-    return CrankNicolson(system, dt).step(state, t)
+        rhs[0] += 0.5 * self.dt * (self.system.node_load(t) + self.system.node_load(t + self.dt))
+        u, info = dpttrs(self._d, self._e, rhs, overwrite_b=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"tridiagonal solve failed (dpttrs info={info})")
+        return u
 
 
 @dataclass(frozen=True)
@@ -210,10 +223,6 @@ class Trajectory:
     grid: UniformGrid
     times: np.ndarray
     values: np.ndarray
-
-    def fields(self) -> Iterator[ElongationField]:
-        for row in self.values:
-            yield ElongationField(self.grid, row)
 
 
 def solve_transient(
