@@ -45,9 +45,10 @@ class DiscreteModeShape:
         q = p[self.n] * p[self.n]
         return self.b_d * (p - p[self.n] * p[::-1]) / (1.0 - q)
 
-    def node_values(self, t: float) -> np.ndarray:
-        """Physical elongations at all nodes at time t."""
-        return np.real(self.node_amplitudes() * np.exp(1j * self.omega * t))
+    def node_values(self, t) -> np.ndarray:
+        """Physical elongations at all nodes at time t; an array of times gives one row each."""
+        phase = np.exp(1j * self.omega * np.asarray(t, dtype=float))
+        return np.real(phase[..., None] * self.node_amplitudes())
 
 
 def build_discrete_mode(params: SwimmerParams, forcing: Forcing) -> DiscreteModeShape:

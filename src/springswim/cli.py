@@ -64,9 +64,7 @@ def _positions(params: SwimmerParams, forcing: Forcing, times: np.ndarray, ell: 
     arm plus the cumulative spring lengths.
     """
     n = params.n_springs
-    v1 = np.array(
-        [instantaneous_v1(params, forcing, row, t) for t, row in zip(times, ell)]
-    )
+    v1 = instantaneous_v1(params, forcing, ell, times)
     x1 = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(times) * (v1[:-1] + v1[1:]))])
     arm = np.asarray(forcing.arm_length(times))
     lengths = ell[:, :n] / n + params.h
@@ -83,9 +81,7 @@ def cmd_simulate(args) -> list[Path]:
 
     if args.scheme == "analytic":
         times = np.linspace(0.0, t_end, args.samples + 1)
-        mode = build_discrete_mode(params, forcing)
-        amplitudes = mode.node_amplitudes()
-        ell = np.real(np.exp(1j * forcing.omega * times)[:, None] * amplitudes[None, :])
+        ell = build_discrete_mode(params, forcing).node_values(times)
         ell[:, -1] = 0.0
     else:
         system = assemble(params, forcing, MassVariant(args.scheme))
@@ -171,7 +167,7 @@ def cmd_sweep(args) -> list[Path]:
         values = np.logspace(math.log10(args.start), math.log10(args.stop), args.points)
     else:
         values = np.linspace(args.start, args.stop, args.points)
-    table = sweep(params, forcing, args.axis, values, m_quad=args.m_quad)
+    table = sweep(params, forcing, args.axis, values)
     displacements = table.displacements()
 
     csv_path = out / f"sweep_{args.axis}.csv"
@@ -180,7 +176,6 @@ def cmd_sweep(args) -> list[Path]:
     payload = {
         "axis": table.axis,
         "n": params.n_springs,
-        "m_quad": args.m_quad,
         "omega": forcing.omega,
         "params": asdict(params),
         "values": list(table.values),
@@ -215,13 +210,7 @@ def cmd_sweep(args) -> list[Path]:
 def cmd_optimize(args) -> list[Path]:
     params, forcing = _load(args)
     out = _out_dir(args)
-    result = optimize_k_omega(
-        params,
-        forcing,
-        bracket=(args.bracket[0], args.bracket[1]),
-        rel_tol=args.rel_tol,
-        m_quad=args.m_quad,
-    )
+    result = optimize_k_omega(params, forcing, bracket=tuple(args.bracket), rel_tol=args.rel_tol)
     path = out / "optimize.json"
     _write_json(
         path,
@@ -240,8 +229,7 @@ def cmd_analytic(args) -> list[Path]:
     out = _out_dir(args)
     mode = build_discrete_mode(params, forcing)
     times = np.linspace(0.0, forcing.period, args.samples + 1)
-    amplitudes = mode.node_amplitudes()
-    ell = np.real(np.exp(1j * forcing.omega * times)[:, None] * amplitudes[None, :])
+    ell = mode.node_values(times)
     nodes = np.arange(params.n_springs + 1) * params.h
     csv_path = out / "analytic.csv"
     _write_csv(
@@ -314,13 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--log", action="store_true", help="logarithmic spacing")
-    p.add_argument("--m-quad", type=int, default=256)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("optimize", parents=[common], help="maximize |displacement| over k_omega")
     p.add_argument("--bracket", nargs=2, type=float, default=[1e-2, 1e2], metavar=("LO", "HI"))
     p.add_argument("--rel-tol", type=float, default=1e-4)
-    p.add_argument("--m-quad", type=int, default=256)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("analytic", parents=[common], help="closed-form node values on a time grid")

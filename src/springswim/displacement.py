@@ -2,10 +2,11 @@
 
 Over one forcing period most terms of the head velocity average to zero;
 the net drift comes from the hydrodynamic coupling between the tail
-elongations and the instantaneous arm lengths. Both the bead-chain
-formula and its continuous-tail limit are integrated here with periodic
-trapezoid quadrature, which is spectrally accurate for these smooth
-periodic integrands.
+elongations and the instantaneous arm lengths. In the bead chain each
+surviving term is one harmonic over a constant plus one harmonic, whose
+period mean has a closed form, so the discrete drift is exact and O(n)
+with no time grid. The continuous-tail limit is integrated with periodic
+trapezoid quadrature in time and composite trapezoid in space.
 """
 
 from __future__ import annotations
@@ -21,21 +22,26 @@ from .analytic import (
     build_continuous_mode,
     build_discrete_mode,
 )
+from .fem import MassVariant, assemble, harmonic_state
 from .model import Forcing, SwimmerParams, derive_groups, params_for_k_omega
 
 SWEEP_AXES = ("eps_tilde", "k_omega")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrokeResult:
-    """Net head displacement over one period and the parameters that produced it."""
+    """Net head displacement over one period and the parameters that produced it.
+
+    Slotted because a sweep keeps one per point: an instance then takes
+    half the memory of one with an attribute dict.
+    """
 
     displacement: float
     eps_tilde: float
     k_omega: float
     omega: float
     n: int
-    quadrature_points: int
+    quadrature_points: int  # time samples per node; 1 for the exact discrete mean
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.displacement):
@@ -83,32 +89,37 @@ class OptimizeResult:
     iterations: int
 
 
-def instantaneous_v1(params: SwimmerParams, forcing: Forcing, state: np.ndarray, t: float) -> float:
+def instantaneous_v1(params: SwimmerParams, forcing: Forcing, state: np.ndarray, t) -> float | np.ndarray:
     """Velocity of the head sphere given the tail elongations at time t.
 
-    state holds the n+1 node elongations (last entry the pinned zero).
-    The terms are the prescribed arm-rate share, the direct spring pull,
-    the head-driver interaction, and the tail interaction sum over
-    cumulative arm lengths.
+    state holds the n+1 node elongations (last entry the pinned zero); a
+    2-D state holds one such row per entry of the array t and gives one
+    velocity per row. The terms are the prescribed arm-rate share, the
+    direct spring pull, the head-driver interaction, and the tail
+    interaction sum over cumulative arm lengths.
     """
     n = params.n_springs
     ell = np.asarray(state, dtype=float)
-    if ell.shape != (n + 1,):
+    t = np.asarray(t, dtype=float)
+    if ell.ndim > 2 or ell.shape[-1:] != (n + 1,):
         raise ValueError(f"state must have {n + 1} entries, got shape {ell.shape}")
+    if t.shape != ell.shape[:-1]:
+        raise ValueError(f"need one time per state row, got {t.shape} for state {ell.shape}")
     k = params.relaxation_rate
-    arm = float(forcing.arm_length(t))
-    arm_rate = float(forcing.arm_velocity(t))
-    cums = arm + np.cumsum(ell[:n] / n + params.h)
-    if arm <= 0.0 or np.any(cums <= 0.0):
+    arm = forcing.arm_length(t)
+    arm_rate = forcing.arm_velocity(t)
+    cums = arm[..., None] + np.cumsum(ell[..., :n] / n + params.h, axis=-1)
+    if np.any(arm <= 0.0) or np.any(cums <= 0.0):
         raise ValueError("unphysical state: non-positive cumulative arm length")
-    tail = 1.5 * params.a_tilde * k * float(np.sum((ell[:n] - ell[1:]) / cums))
-    return (
+    tail = 1.5 * params.a_tilde * k * np.sum((ell[..., :n] - ell[..., 1:]) / cums, axis=-1)
+    v1 = (
         0.5 * arm_rate
-        - (params.a_tilde / (2.0 * params.a1)) * k * ell[0]
+        - (params.a_tilde / (2.0 * params.a1)) * k * ell[..., 0]
         - 0.75 * params.a1 * arm_rate / arm
-        - 0.75 * k * params.a_tilde * ell[0] / arm
+        - 0.75 * k * params.a_tilde * ell[..., 0] / arm
         + tail
     )
+    return float(v1) if v1.ndim == 0 else v1
 
 
 def _check_discrete(params: SwimmerParams, forcing: Forcing, mode: DiscreteModeShape) -> None:
@@ -118,41 +129,51 @@ def _check_discrete(params: SwimmerParams, forcing: Forcing, mode: DiscreteModeS
         raise ValueError("mode and forcing disagree on omega")
 
 
+def _period_mean(e, b, d):
+    """Period mean of Re(e exp(iwt)) / (d + Re(b exp(iwt))), elementwise, for d > |b|.
+
+    It is -Re(e conj(b)) / (s (s + d)), s = sqrt(d^2 - |b|^2): exactly 0 at b = 0.
+    """
+    swing = np.abs(b)
+    s = np.sqrt((d - swing) * (d + swing))
+    return -np.real(e * np.conj(b)) / (s * (s + d))
+
+
 def stroke_displacement_discrete(
     params: SwimmerParams,
     forcing: Forcing,
     mode: DiscreteModeShape,
-    m_quad: int = 256,
+    m_quad: int | None = None,
 ) -> StrokeResult:
-    """Net displacement over one period from the bead-chain periodic mode.
+    """Net displacement over one period of the bead chain, exact in time.
 
-    Only the two velocity terms with nonzero time average survive the
-    period integral; they are sampled at m_quad equispaced times and
-    integrated with the periodic trapezoid rule (equal weights).
+    Only the head term A_0 / L0(t) and the tail terms (A_j - A_{j+1}) / cum_j(t)
+    have a nonzero period mean, where A are the node amplitudes of the banded
+    NSPRING (bead chain) periodic solve and cum_j = L + (j+1) h +
+    Re((L eps_tilde + sum_{i<=j} A_i / n) exp(i omega t)). Each is averaged in
+    closed form, in O(n) time and memory, and |B| < D checks every cum_j > 0
+    over the whole period. mode supplies the n and omega checks; m_quad is
+    ignored and stays only until the benchmark stops passing it.
     """
-    if m_quad < 64:
-        raise ValueError(f"m_quad must be >= 64, got {m_quad}")
     _check_discrete(params, forcing, mode)
     n = params.n_springs
     k = params.relaxation_rate
-    period = forcing.period
-    times = period * np.arange(m_quad) / m_quad
-
-    ell = np.real(mode.node_amplitudes()[:, None] * np.exp(1j * forcing.omega * times))
-    arm = np.asarray(forcing.arm_length(times))
-    cums = arm[None, :] + np.cumsum(ell[:n] / n + params.h, axis=0)
-    if np.any(cums <= 0.0):
+    amps = np.append(harmonic_state(assemble(params, forcing, MassVariant.NSPRING)), 0.0)
+    arm = forcing.L_ref
+    swing = arm * forcing.eps_tilde
+    b = swing + np.cumsum(amps[:n]) / n
+    d = arm + params.h * np.arange(1, n + 1)
+    if not np.all(np.abs(b) < d):
         raise ValueError("unphysical state: non-positive cumulative arm length")
-    head = -0.75 * k * params.a_tilde * ell[0] / arm
-    tail = 1.5 * params.a_tilde * k * np.sum((ell[:n] - ell[1:]) / cums, axis=0)
-    displacement = period * float(np.mean(head + tail))
+    head = -0.75 * k * params.a_tilde * _period_mean(amps[0], swing, arm)
+    tail = 1.5 * params.a_tilde * k * np.sum(_period_mean(amps[:n] - amps[1:], b, d))
     return StrokeResult(
-        displacement=displacement,
+        displacement=forcing.period * float(head + tail),
         eps_tilde=forcing.eps_tilde,
         k_omega=derive_groups(params, forcing).k_omega,
         omega=forcing.omega,
         n=n,
-        quadrature_points=m_quad,
+        quadrature_points=1,
     )
 
 
@@ -214,23 +235,19 @@ def stroke_displacement_continuous(
     )
 
 
-def chi_bounds(params: SwimmerParams, forcing: Forcing) -> tuple[float, float]:
-    """Valid range (0, 1/(L(1-eps_tilde))] for the reciprocal cumulative length."""
-    return 0.0, 1.0 / (forcing.L_ref * (1.0 - forcing.eps_tilde))
-
-
 def sweep(
     params: SwimmerParams,
     forcing: Forcing,
     axis: str,
     values,
-    m_quad: int = 256,
+    m_quad: int | None = None,
 ) -> SweepTable:
     """Stroke displacement along one parameter axis.
 
     axis "eps_tilde" varies the drive amplitude; axis "k_omega" retunes
     the spring constant at fixed omega. Points that fail numerically are
-    recorded and the sweep continues.
+    recorded and the sweep continues. m_quad is ignored, as in
+    stroke_displacement_discrete.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -250,9 +267,7 @@ def sweep(
             point_params, point_forcing = params_for_k_omega(params, forcing, v), forcing
         try:
             mode = build_discrete_mode(point_params, point_forcing)
-            results.append(
-                stroke_displacement_discrete(point_params, point_forcing, mode, m_quad)
-            )
+            results.append(stroke_displacement_discrete(point_params, point_forcing, mode))
             failures.append(None)
         except (ValueError, FloatingPointError) as exc:
             results.append(None)
@@ -265,14 +280,15 @@ def optimize_k_omega(
     forcing: Forcing,
     bracket: tuple[float, float] = (1e-2, 1e2),
     rel_tol: float = 1e-4,
-    m_quad: int = 256,
+    m_quad: int | None = None,
 ) -> OptimizeResult:
     """Golden-section maximization of |displacement| over log k_omega.
 
     The bracket must contain an interior maximum of the magnitude;
     convergence at a bracket edge is reported as an error. rel_tol is the
     final bracket width in log coordinates, i.e. the relative uncertainty
-    of the returned k_omega.
+    of the returned k_omega. m_quad is ignored, as in
+    stroke_displacement_discrete.
     """
     lo, hi = bracket
     if not (0.0 < lo < hi):
@@ -283,7 +299,7 @@ def optimize_k_omega(
     def objective(u: float) -> float:
         point = params_for_k_omega(params, forcing, math.exp(u))
         mode = build_discrete_mode(point, forcing)
-        return abs(stroke_displacement_discrete(point, forcing, mode, m_quad).displacement)
+        return abs(stroke_displacement_discrete(point, forcing, mode).displacement)
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = math.log(lo), math.log(hi)
@@ -308,7 +324,7 @@ def optimize_k_omega(
     k_omega_opt = math.exp(u_opt)
     best = params_for_k_omega(params, forcing, k_omega_opt)
     mode = build_discrete_mode(best, forcing)
-    result = stroke_displacement_discrete(best, forcing, mode, m_quad)
+    result = stroke_displacement_discrete(best, forcing, mode)
     return OptimizeResult(
         k_omega_opt=k_omega_opt,
         k_tilde_equiv=best.k_tilde,

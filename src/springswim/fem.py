@@ -117,12 +117,6 @@ class AssembledSystem:
         phase = self.forcing.omega * t
         return self.load_amplitude.real * math.cos(phase) - self.load_amplitude.imag * math.sin(phase)
 
-    def load(self, t: float) -> np.ndarray:
-        """The full load vector at time t."""
-        f = np.zeros(self.grid.n)
-        f[0] = self.node_load(t)
-        return f
-
 
 def assemble(params: SwimmerParams, forcing: Forcing, variant: MassVariant) -> AssembledSystem:
     """Assemble stiffness, mass and load for the chosen mass treatment.

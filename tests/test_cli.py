@@ -157,6 +157,8 @@ class TestSweep:
         assert len(payload["displacements"]) == 9
         assert payload["failures"] == [None] * 9
         assert "peak" in payload and payload["peak"]["k_omega"] in values
+        # the stroke mean is exact in time: there is no quadrature setting to record
+        assert "m_quad" not in payload
 
     def test_eps_sweep_slope_report(self, tmp_path):
         config = write_config(tmp_path, n_springs=120, k_tilde=6.3e-8)
@@ -266,6 +268,12 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as excinfo:
             run(["sweep", "--axis", "spin", "--from", "1", "--to", "2", "--points", "3"])
         assert excinfo.value.code == 2
+
+    def test_m_quad_flag_removed(self, capsys):
+        for command in (["sweep", "--axis", "k_omega", "--from", "1", "--to", "2", "--points", "3"], ["optimize"]):
+            with pytest.raises(SystemExit) as excinfo:
+                run(command + ["--m-quad", "256"])
+            assert excinfo.value.code == 2
 
     def test_unknown_config_key_exits_1(self, tmp_path, capsys):
         config = tmp_path / "config.json"
