@@ -8,12 +8,7 @@ measurement, and net stroke displacement with sweeps and optimization.
 
 __version__ = "0.1.0"
 
-from .analytic import (
-    build_continuous_mode,
-    build_discrete_mode,
-    eval_continuous,
-    eval_discrete,
-)
+from .analytic import build_continuous_mode, build_discrete_mode
 from .displacement import (
     optimize_k_omega,
     stroke_displacement_continuous,
@@ -34,8 +29,6 @@ __all__ = [
     "build_discrete_mode",
     "convergence_study",
     "derive_groups",
-    "eval_continuous",
-    "eval_discrete",
     "fit_rate",
     "h1_seminorm",
     "harmonic_state",

@@ -95,16 +95,6 @@ def build_discrete_mode(params: SwimmerParams, forcing: Forcing) -> DiscreteMode
     )
 
 
-def eval_discrete(mode: DiscreteModeShape, j: int, t: float) -> float:
-    """Elongation of node j (1-based; node n+1 is the pinned end) at time t."""
-    if not 1 <= j <= mode.n + 1:
-        raise IndexError(f"node index {j} outside 1..{mode.n + 1}")
-    gm = mode.gamma_minus
-    q = gm ** (2 * mode.n)
-    amp = mode.b_d * (gm ** (j - 1) - gm ** (2 * mode.n + 1 - j)) / (1.0 - q)
-    return float(np.real(amp * np.exp(1j * mode.omega * t)))
-
-
 @dataclass(frozen=True)
 class ContinuousModeShape:
     """Complex periodic profile alpha*exp(r y) + beta*exp(-r y) on [0, length]."""
@@ -156,10 +146,3 @@ def build_continuous_mode(params: SwimmerParams, forcing: Forcing) -> Continuous
         alpha=complex(alpha),
         beta=complex(-e2 * alpha),
     )
-
-
-def eval_continuous(mode: ContinuousModeShape, y: float, t: float) -> float:
-    """Elongation density at position y in [0, length] at time t."""
-    if not 0.0 <= y <= mode.length:
-        raise ValueError(f"position {y!r} outside [0, {mode.length}]")
-    return float(np.real(mode.profile(y) * np.exp(1j * mode.omega * t)))

@@ -7,7 +7,11 @@ treatments: the consistent P1 matrix, its trapezoid-lumped diagonal, or
 the uniform diagonal diag(h, ..., h) under which the finite element
 system coincides with the bead-spring chain exactly. The load acts on
 the driven node alone. Crank-Nicolson factors its tridiagonal left
-matrix once (LAPACK LDL^T), so a step costs O(n).
+matrix once (LAPACK LDL^T), so a step is one three-point convolve and
+one O(n) solve.
+
+scipy is imported inside harmonic_state and CrankNicolson, the only two
+solves, so paths that never solve (the closed-form modes) load no scipy.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .model import Forcing, SwimmerParams
 
@@ -52,10 +54,6 @@ class UniformGrid:
         """Node positions (j-1)*spacing for j = 1..n+1."""
         return np.arange(self.n + 1) * self.spacing
 
-    @classmethod
-    def for_params(cls, params: SwimmerParams) -> "UniformGrid":
-        return cls(n=params.n_springs, spacing=params.h, length=params.Lambda)
-
 
 @dataclass(frozen=True)
 class ElongationField:
@@ -80,21 +78,8 @@ class SymTridiag:
     diag: np.ndarray
     off: np.ndarray
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.diag * x
-        if self.off.size:
-            y[:-1] += self.off * x[1:]
-            y[1:] += self.off * x[:-1]
-        return y
-
     def add_scaled(self, other: "SymTridiag", factor: float) -> "SymTridiag":
         return SymTridiag(self.diag + factor * other.diag, self.off + factor * other.off)
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.diag(self.diag)
-        if self.off.size:
-            dense += np.diag(self.off, 1) + np.diag(self.off, -1)
-        return dense
 
 
 @dataclass(frozen=True)
@@ -165,6 +150,8 @@ def harmonic_state(system: AssembledSystem) -> np.ndarray:
     but for load_amplitude at node 0; the physical orbit is
     Re(u * exp(i omega t)).
     """
+    from scipy.linalg import solve_banded
+
     n = system.grid.n
     omega = system.forcing.omega
     diag = 1j * omega * system.mass.diag + system.stiffness.diag
@@ -176,7 +163,7 @@ def harmonic_state(system: AssembledSystem) -> np.ndarray:
         ab[2, :-1] = off
     rhs = np.zeros(n, dtype=complex)
     rhs[0] = system.load_amplitude
-    return sla.solve_banded((1, 1), ab, rhs)
+    return solve_banded((1, 1), ab, rhs)
 
 
 class CrankNicolson:
@@ -184,27 +171,43 @@ class CrankNicolson:
 
     Each step solves (M + dt/2 A) u_next = (M - dt/2 A) u + dt*(f(t)+f(t+dt))/2.
     The left matrix is symmetric positive definite tridiagonal; it is
-    factored once as L D L^T (LAPACK dpttrf), and a step is one matvec, one
-    update of the node-0 load and one O(n) dpttrs solve.
+    factored once as L D L^T (LAPACK dpttrf). Every assembled M - dt/2 A
+    has one interior diagonal value and one off-diagonal value, with only
+    row 0 different, so a step is one convolve with the three-point
+    stencil, a row-0 correction that carries the load, and one O(n)
+    dpttrs solve.
     """
 
     def __init__(self, system: AssembledSystem, dt: float):
+        from scipy.linalg.lapack import dpttrf, dpttrs
+
         if not (np.isfinite(dt) and dt > 0):
             raise ValueError(f"dt must be positive and finite, got {dt!r}")
         self.system = system
         self.dt = dt
         plus = system.mass.add_scaled(system.stiffness, 0.5 * dt)
-        self._minus = system.mass.add_scaled(system.stiffness, -0.5 * dt)
+        minus = system.mass.add_scaled(system.stiffness, -0.5 * dt)
+        interior = minus.diag[-1]
+        coupling = minus.off[0] if minus.off.size else 0.0
+        if np.any(minus.diag[1:] != interior) or np.any(minus.off != coupling):
+            raise ValueError("M - dt/2 A must have a uniform interior stencil")
+        self._stencil = np.array([coupling, interior, coupling])
+        self._corner = minus.diag[0] - interior
         # the LAPACK wrappers reject an empty off-diagonal, so n == 1 passes an unread zero
         off = plus.off if plus.off.size else np.zeros(1)
         self._d, self._e, info = dpttrf(plus.diag, off)
         if info != 0:
             raise np.linalg.LinAlgError(f"M + dt/2 A is not positive definite (dpttrf info={info})")
+        self._dpttrs = dpttrs
 
     def step(self, state: np.ndarray, t: float) -> np.ndarray:
-        rhs = self._minus.matvec(np.asarray(state, dtype=float))
-        rhs[0] += 0.5 * self.dt * (self.system.node_load(t) + self.system.node_load(t + self.dt))
-        u, info = dpttrs(self._d, self._e, rhs, overwrite_b=True)
+        n = self.system.grid.n
+        # the full convolution's middle n entries are the stencil rows with zero outside
+        rhs = np.convolve(state, self._stencil)[1 : n + 1]
+        rhs[0] += self._corner * state[0] + 0.5 * self.dt * (
+            self.system.node_load(t) + self.system.node_load(t + self.dt)
+        )
+        u, info = self._dpttrs(self._d, self._e, rhs, overwrite_b=True)
         if info != 0:
             raise np.linalg.LinAlgError(f"tridiagonal solve failed (dpttrs info={info})")
         return u

@@ -141,25 +141,6 @@ def error_vs_analytic(numeric: ElongationField, mode: ContinuousModeShape, t: fl
     return ErrorRecord(n=numeric.grid.n, l2_error=l2_norm(diff), h1_error=h1_seminorm(diff))
 
 
-def max_error_over_period(numeric_at, mode: ContinuousModeShape, samples: int = 16) -> ErrorRecord:
-    """Worst-case errors over equispaced times in one period.
-
-    numeric_at(t) must return the ElongationField of the numeric solution
-    at time t; the L2 and H1 maxima may occur at different times.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    period = 2.0 * math.pi / mode.omega
-    worst_l2 = worst_h1 = 0.0
-    n = None
-    for k in range(samples):
-        record = error_vs_analytic(numeric_at(k * period / samples), mode, k * period / samples)
-        worst_l2 = max(worst_l2, record.l2_error)
-        worst_h1 = max(worst_h1, record.h1_error)
-        n = record.n
-    return ErrorRecord(n=n, l2_error=worst_l2, h1_error=worst_h1)
-
-
 def fit_rate(records: list[ErrorRecord], which: str) -> RateEstimate:
     """Fit log(error) against log(1/n) by least squares.
 

@@ -239,7 +239,7 @@ def test_criterion_08_norm_equivalence_bounds():
     failures = 0
     for i in range(1000):
         n = sizes[i % 3]
-        grid = UniformGrid.for_params(dataclasses.replace(params, n_springs=n))
+        grid = UniformGrid(n=n, spacing=params.Lambda / n, length=params.Lambda)
         values = rng.standard_normal(n + 1) * 10.0 ** rng.uniform(-3.0, 3.0)
         values[-1] = 0.0
         check = norm_equivalence_check(ElongationField(grid, values))
@@ -255,7 +255,7 @@ def test_criterion_09_time_stepper_orbit_tracking():
     system = assemble(params, forcing, MassVariant.NSPRING)
     mode = build_discrete_mode(params, forcing)
     amps = mode.node_amplitudes()
-    grid = UniformGrid.for_params(params)
+    grid = UniformGrid(n=params.n_springs, spacing=params.h, length=params.Lambda)
     period = forcing.period
 
     errors = {}

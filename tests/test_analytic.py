@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from springswim.analytic import (
-    build_continuous_mode,
-    build_discrete_mode,
-    eval_continuous,
-    eval_discrete,
-)
+from springswim.analytic import build_continuous_mode, build_discrete_mode
 from springswim.model import config_from_mapping, derive_groups, params_for_k_omega
 
 
@@ -155,23 +150,21 @@ class TestDiscreteMode:
     def test_eval_discrete_endpoints(self):
         params, forcing = default_pair(n_springs=12)
         mode = build_discrete_mode(params, forcing)
-        assert eval_discrete(mode, mode.n + 1, 0.37) == 0.0
-        assert eval_discrete(mode, 1, 0.0) == pytest.approx(mode.b_d.real, rel=1e-12)
-        with pytest.raises(IndexError):
-            eval_discrete(mode, 0, 0.0)
-        with pytest.raises(IndexError):
-            eval_discrete(mode, mode.n + 2, 0.0)
+        assert mode.node_values(0.37).shape == (mode.n + 1,)
+        assert mode.node_values(0.37)[-1] == 0.0
+        assert mode.node_values(0.0)[0] == pytest.approx(mode.b_d.real, rel=1e-12)
 
     def test_eval_matches_amplitudes(self):
+        # node j (1-based) carries alpha_d*gamma_plus**(j-1) + beta_d*gamma_minus**(j-1)
         params, forcing = default_pair(n_springs=9)
         mode = build_discrete_mode(params, forcing)
         t = 1.234
         values = mode.node_values(t)
         scale = np.max(np.abs(values))
+        phase = np.exp(1j * mode.omega * t)
         for j in range(1, mode.n + 2):
-            assert eval_discrete(mode, j, t) == pytest.approx(
-                values[j - 1], rel=1e-10, abs=1e-12 * scale
-            )
+            amp = mode.alpha_d * mode.gamma_plus ** (j - 1) + mode.beta_d * mode.gamma_minus ** (j - 1)
+            assert (amp * phase).real == pytest.approx(values[j - 1], rel=1e-10, abs=1e-12 * scale)
 
 
 class TestContinuousMode:
@@ -194,21 +187,13 @@ class TestContinuousMode:
         mode = build_continuous_mode(params, forcing)
         scale = abs(mode.alpha) * np.exp(mode.r.real * params.Lambda)
         assert abs(mode.profile(params.Lambda)) <= 1e-12 * scale
-        assert abs(eval_continuous(mode, params.Lambda, 0.8)) <= 1e-12 * scale
+        assert abs(mode.values(params.Lambda, 0.8)) <= 1e-12 * scale
 
     def test_zero_forcing(self):
         params, forcing = default_pair(eps_tilde=0.0)
         mode = build_continuous_mode(params, forcing)
         assert mode.alpha == 0.0 and mode.beta == 0.0
-        assert eval_continuous(mode, 1e-4, 2.0) == 0.0
-
-    def test_eval_rejects_outside_domain(self):
-        params, forcing = default_pair()
-        mode = build_continuous_mode(params, forcing)
-        with pytest.raises(ValueError):
-            eval_continuous(mode, -1e-9, 0.0)
-        with pytest.raises(ValueError):
-            eval_continuous(mode, params.Lambda * 1.001, 0.0)
+        assert mode.values(1e-4, 2.0) == 0.0
 
     def test_robin_condition(self):
         for params, forcing in random_cases(seed=43, count=50):

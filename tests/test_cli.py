@@ -287,7 +287,33 @@ class TestErrorHandling:
         assert run(["analytic", "--config", config, "--out", tmp_path, "--seed", "7"]) == 0
 
 
+COLD_PATHS = """
+import json, sys
+from springswim.cli import main
+
+config, out = sys.argv[1], sys.argv[2]
+for command in (["simulate"], ["analytic"], ["converge", "--scheme", "nspring", "--n-list", "8,16,32"]):
+    assert main([*command, "--config", config, "--out", out]) == 0
+cold = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+assert main(["optimize", "--config", config, "--out", out]) == 0
+print(json.dumps({"cold": cold, "after_optimize": "scipy.linalg" in sys.modules}))
+"""
+
+
 class TestConsoleEntry:
+    def test_closed_form_paths_load_no_scipy(self, tmp_path):
+        # simulate (analytic), analytic and converge (nspring) never solve, so they must not import scipy
+        config = write_config(tmp_path, n_springs=8)
+        result = subprocess.run(
+            [sys.executable, "-c", COLD_PATHS, str(config), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout.splitlines()[-1])
+        assert report["cold"] == []
+        assert report["after_optimize"]
+
     def test_module_invocation(self, tmp_path):
         config = write_config(tmp_path, n_springs=6)
         result = subprocess.run(

@@ -26,6 +26,14 @@ def default_pair(**overrides):
     return config_from_mapping(overrides)
 
 
+def dense(matrix):
+    """The full matrix of a SymTridiag."""
+    full = np.diag(matrix.diag)
+    if matrix.off.size:
+        full += np.diag(matrix.off, 1) + np.diag(matrix.off, -1)
+    return full
+
+
 def load_vector(system, t):
     """The full load vector at time t: node_load at node 0, zero elsewhere."""
     f = np.zeros(system.grid.n)
@@ -53,8 +61,9 @@ class TestGridAndField:
             UniformGrid(n=0, spacing=0.25, length=0.0)
 
     def test_grid_for_params(self):
-        params, _ = default_pair(n_springs=16)
-        grid = UniformGrid.for_params(params)
+        params, forcing = default_pair(n_springs=16)
+        grid = assemble(params, forcing, MassVariant.NSPRING).grid
+        assert grid.spacing == params.h
         assert grid.n == 16
         assert grid.length == params.Lambda
         assert grid.nodes[-1] == pytest.approx(params.Lambda, rel=1e-15)
@@ -71,22 +80,12 @@ class TestGridAndField:
 
 
 class TestSymTridiag:
-    def test_matvec_matches_dense(self):
-        rng = np.random.default_rng(3)
-        matrix = SymTridiag(rng.normal(size=6), rng.normal(size=5))
-        x = rng.normal(size=6)
-        assert np.allclose(matrix.matvec(x), matrix.to_dense() @ x, rtol=1e-14)
-
     def test_add_scaled(self):
         rng = np.random.default_rng(4)
         a = SymTridiag(rng.normal(size=5), rng.normal(size=4))
         b = SymTridiag(rng.normal(size=5), rng.normal(size=4))
         combo = a.add_scaled(b, -0.3)
-        assert np.allclose(combo.to_dense(), a.to_dense() - 0.3 * b.to_dense(), rtol=1e-14)
-
-    def test_single_row(self):
-        matrix = SymTridiag(np.array([2.0]), np.zeros(0))
-        assert matrix.matvec(np.array([3.0]))[0] == 6.0
+        assert np.allclose(dense(combo), dense(a) - 0.3 * dense(b), rtol=1e-14)
 
 
 class TestAssembly:
@@ -120,14 +119,14 @@ class TestAssembly:
     def test_stiffness_positive_definite(self):
         params, forcing = default_pair(n_springs=64)
         system = assemble(params, forcing, MassVariant.CONSISTENT)
-        eigenvalues = np.linalg.eigvalsh(system.stiffness.to_dense())
+        eigenvalues = np.linalg.eigvalsh(dense(system.stiffness))
         assert eigenvalues.min() > 0.0
 
     def test_mass_matrices_positive_definite(self):
         params, forcing = default_pair(n_springs=32)
         for variant in MassVariant:
             mass = assemble(params, forcing, variant).mass
-            assert np.linalg.eigvalsh(mass.to_dense()).min() > 0.0
+            assert np.linalg.eigvalsh(dense(mass)).min() > 0.0
 
     def test_load_vector(self):
         params, forcing = default_pair(n_springs=6)
@@ -151,7 +150,7 @@ class TestAssembly:
             u = rng.normal(size=n)
             du = rng.normal(size=n)
             matrix_residual = (
-                system.mass.matvec(du) + system.stiffness.matvec(u) - load_vector(system, t)
+                dense(system.mass) @ du + dense(system.stiffness) @ u - load_vector(system, t)
             )
 
             full = np.concatenate([u, [0.0]])
@@ -190,10 +189,10 @@ class TestHarmonicState:
             system = assemble(params, forcing, variant)
             u = harmonic_state(system)
             omega = forcing.omega
-            dense = 1j * omega * system.mass.to_dense() + system.stiffness.to_dense()
+            matrix = 1j * omega * dense(system.mass) + dense(system.stiffness)
             rhs = np.zeros(system.grid.n, dtype=complex)
             rhs[0] = -(params.Lambda / 2.0) * 1j * omega * forcing.eps
-            residual = dense @ u - rhs
+            residual = matrix @ u - rhs
             assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(rhs))
 
     def test_zero_forcing_zero_orbit(self):
@@ -213,8 +212,8 @@ class TestCrankNicolson:
         rng = np.random.default_rng(29)
         state = rng.normal(0.0, 1e-6, size=n)
         t = 0.45
-        mass = system.mass.to_dense()
-        stiff = system.stiffness.to_dense()
+        mass = dense(system.mass)
+        stiff = dense(system.stiffness)
         rhs = (mass - 0.5 * dt * stiff) @ state + 0.5 * dt * (
             load_vector(system, t) + load_vector(system, t + dt)
         )
@@ -234,6 +233,15 @@ class TestCrankNicolson:
         with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
             CrankNicolson(negative, forcing.period / 64)
 
+    def test_rejects_nonuniform_stencil(self):
+        params, forcing = default_pair(n_springs=6)
+        system = assemble(params, forcing, MassVariant.NSPRING)
+        diag = system.mass.diag.copy()
+        diag[3] *= 1.5
+        bumped = dataclasses.replace(system, mass=SymTridiag(diag, system.mass.off))
+        with pytest.raises(ValueError, match="uniform"):
+            CrankNicolson(bumped, forcing.period / 64)
+
     def test_unforced_energy_decays(self):
         params, forcing = default_pair(n_springs=30, eps_tilde=0.0)
         for variant in MassVariant:
@@ -241,10 +249,10 @@ class TestCrankNicolson:
             stepper = CrankNicolson(system, forcing.period / 256)
             rng = np.random.default_rng(31)
             state = rng.normal(0.0, 1e-6, size=30)
-            energy = state @ system.mass.matvec(state)
+            energy = state @ dense(system.mass) @ state
             for step in range(40):
                 state = stepper.step(state, step * stepper.dt)
-                updated = state @ system.mass.matvec(state)
+                updated = state @ dense(system.mass) @ state
                 assert updated < energy
                 energy = updated
 
@@ -287,6 +295,24 @@ class TestSolveTransient:
         assert np.array_equal(trajectory.values[0], start.values)
         # diffusion spreads and decays the bump
         assert abs(trajectory.values[-1][0]) < 1e-6
+
+    @pytest.mark.parametrize("variant", list(MassVariant), ids=lambda variant: variant.value)
+    def test_matches_dense_stepping(self, variant):
+        # reference: the Crank-Nicolson recurrence with dense matrices and a dense solve per step
+        params, forcing = default_pair(n_springs=9)
+        system = assemble(params, forcing, variant)
+        dt = forcing.period / 64
+        trajectory = solve_transient(system, None, forcing.period, dt)
+        mass, stiff = dense(system.mass), dense(system.stiffness)
+        state = np.zeros(params.n_springs)
+        for k in range(64):
+            t = k * dt
+            rhs = (mass - 0.5 * dt * stiff) @ state + 0.5 * dt * (
+                load_vector(system, t) + load_vector(system, t + dt)
+            )
+            state = np.linalg.solve(mass + 0.5 * dt * stiff, rhs)
+            scale = np.max(np.abs(state))
+            assert np.max(np.abs(trajectory.values[k + 1, :-1] - state)) <= 1e-12 * scale
 
     def test_rejects_misaligned_times(self):
         params, forcing = default_pair(n_springs=4)

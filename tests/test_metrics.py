@@ -18,7 +18,6 @@ from springswim.metrics import (
     h1_seminorm,
     l2_inner,
     l2_norm,
-    max_error_over_period,
     norm_equivalence_check,
 )
 from springswim.model import config_from_mapping
@@ -195,7 +194,7 @@ class TestErrorVsAnalytic:
     def test_self_difference_is_zero(self):
         params, forcing = config_from_mapping({"n_springs": 40})
         mode = build_continuous_mode(params, forcing)
-        g = UniformGrid.for_params(params)
+        g = grid(params.n_springs, params.Lambda)
         t = 1.3
         values = mode.values(g.nodes, t)
         values[-1] = 0.0
@@ -211,26 +210,12 @@ class TestErrorVsAnalytic:
         for n in (100, 200):
             refined = dataclasses.replace(params, n_springs=n)
             discrete = build_discrete_mode(refined, forcing)
-            g = UniformGrid.for_params(refined)
+            g = grid(refined.n_springs, refined.Lambda)
             record = error_vs_analytic(
                 ElongationField(g, discrete.node_values(t)), mode, t
             )
             errors[n] = record.l2_error
         assert errors[100] / errors[200] == pytest.approx(2.0, rel=0.15)
-
-    def test_max_over_period_dominates_single_time(self):
-        params, forcing = config_from_mapping({"n_springs": 50})
-        mode = build_continuous_mode(params, forcing)
-        discrete = build_discrete_mode(params, forcing)
-        g = UniformGrid.for_params(params)
-
-        def numeric_at(t):
-            return ElongationField(g, discrete.node_values(t))
-
-        worst = max_error_over_period(numeric_at, mode, samples=16)
-        single = error_vs_analytic(numeric_at(0.0), mode, 0.0)
-        assert worst.l2_error >= single.l2_error
-        assert worst.h1_error >= single.h1_error
 
     def test_error_record_validation(self):
         with pytest.raises(ValueError, match="l2_error"):
