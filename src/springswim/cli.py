@@ -27,15 +27,26 @@ from .metrics import RateEstimate, convergence_study, fit_rate
 from .model import Forcing, SwimmerParams, config_from_mapping, load_config
 
 
-def _fmt(value: float) -> str:
-    return "%.17g" % float(value)
+#: Values printed by one % operation; a few hundred Python floats are alive at a time.
+_SLICE = 256
+#: Its first 6k - 1 characters print k values: "%.17g,%.17g,...,%.17g".
+_FORMAT = "%.17g," * _SLICE
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _format(row: np.ndarray) -> str:
+    """Comma-joined %.17g of a float row, one % operation per slice of _SLICE values."""
+    pieces = []
+    for start in range(0, len(row), _SLICE):
+        part = row[start : start + _SLICE].tolist()
+        pieces.append(_FORMAT[: 6 * len(part) - 1] % tuple(part))
+    return ",".join(pieces)
+
+
+def _write_csv(path: Path, header: str, table: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(value) for value in row) + "\n")
+        fh.write(header + "\n")
+        for row in table:
+            fh.write(_format(row) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -76,8 +87,6 @@ def cmd_simulate(args) -> list[Path]:
     params, forcing = _load(args)
     out = _out_dir(args)
     t_end = forcing.period if args.t_end is None else args.t_end
-    if not t_end > 0:
-        raise ValueError(f"t-end must be positive, got {t_end!r}")
 
     if args.scheme == "analytic":
         times = np.linspace(0.0, t_end, args.samples + 1)
@@ -98,19 +107,10 @@ def cmd_simulate(args) -> list[Path]:
         ell = trajectory.values
 
     nodes = np.arange(params.n_springs + 1) * params.h
-    elong_path = out / "elongations.csv"
-    _write_csv(
-        elong_path,
-        ["t"] + [_fmt(node) for node in nodes],
-        (np.concatenate([[t], row]) for t, row in zip(times, ell)),
-    )
-    positions = _positions(params, forcing, times, ell)
-    pos_path = out / "positions.csv"
-    _write_csv(
-        pos_path,
-        ["t"] + [f"x{j}" for j in range(1, params.n_springs + 3)],
-        (np.concatenate([[t], row]) for t, row in zip(times, positions)),
-    )
+    elong_path, pos_path = out / "elongations.csv", out / "positions.csv"
+    _write_csv(elong_path, "t," + _format(nodes), np.column_stack([times, ell]))
+    positions = np.column_stack([times, _positions(params, forcing, times, ell)])
+    _write_csv(pos_path, ",".join(["t"] + [f"x{j}" for j in range(1, params.n_springs + 3)]), positions)
     return [elong_path, pos_path]
 
 
@@ -139,8 +139,8 @@ def cmd_converge(args) -> list[Path]:
     csv_path = out / f"convergence_{args.scheme}.csv"
     _write_csv(
         csv_path,
-        ["n", "h", "l2_error", "h1_error"],
-        ([record.n, params.Lambda / record.n, record.l2_error, record.h1_error] for record in records),
+        "n,h,l2_error,h1_error",
+        np.array([[r.n, params.Lambda / r.n, r.l2_error, r.h1_error] for r in records]),
     )
     json_path = out / f"convergence_{args.scheme}.json"
     _write_json(
@@ -159,8 +159,6 @@ def cmd_converge(args) -> list[Path]:
 def cmd_sweep(args) -> list[Path]:
     params, forcing = _load(args)
     out = _out_dir(args)
-    if not args.points >= 1:
-        raise ValueError(f"points must be >= 1, got {args.points}")
     if args.log:
         if not (args.start > 0 and args.stop > 0):
             raise ValueError("log spacing needs positive endpoints")
@@ -171,7 +169,7 @@ def cmd_sweep(args) -> list[Path]:
     displacements = table.displacements()
 
     csv_path = out / f"sweep_{args.axis}.csv"
-    _write_csv(csv_path, ["parameter", "displacement_m"], zip(table.values, displacements))
+    _write_csv(csv_path, "parameter,displacement_m", np.column_stack([table.values, displacements]))
 
     payload = {
         "axis": table.axis,
@@ -231,33 +229,28 @@ def cmd_analytic(args) -> list[Path]:
     times = np.linspace(0.0, forcing.period, args.samples + 1)
     ell = mode.node_values(times)
     nodes = np.arange(params.n_springs + 1) * params.h
-    csv_path = out / "analytic.csv"
-    _write_csv(
-        csv_path,
-        ["t"] + [_fmt(node) for node in nodes],
-        (np.concatenate([[t], row]) for t, row in zip(times, ell)),
-    )
-
-    def pair(z: complex) -> list[float]:
-        return [z.real, z.imag]
-
-    json_path = out / "analytic.json"
-    _write_json(
-        json_path,
-        {
-            "n": mode.n,
-            "k_omega": mode.k_omega,
-            "omega": mode.omega,
-            "gamma_plus": pair(mode.gamma_plus),
-            "gamma_minus": pair(mode.gamma_minus),
-            "delta": pair(mode.delta),
-            "z_d": pair(mode.z_d),
-            "b_d": pair(mode.b_d),
-            "alpha_d": pair(mode.alpha_d),
-            "beta_d": pair(mode.beta_d),
-        },
-    )
+    csv_path, json_path = out / "analytic.csv", out / "analytic.json"
+    _write_csv(csv_path, "t," + _format(nodes), np.column_stack([times, ell]))
+    payload = {"n": mode.n, "k_omega": mode.k_omega, "omega": mode.omega}
+    for name in ("gamma_plus", "gamma_minus", "delta", "z_d", "b_d", "alpha_d", "beta_d"):
+        z = getattr(mode, name)  # complex constants go to JSON as [real, imag]
+        payload[name] = [z.real, z.imag]
+    _write_json(json_path, payload)
     return [csv_path, json_path]
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -285,22 +278,22 @@ def build_parser() -> argparse.ArgumentParser:
         default="analytic",
         help="closed-form periodic mode or a time-stepped mass variant",
     )
-    p.add_argument("--samples", type=int, default=200, help="sample rows after t=0")
-    p.add_argument("--t-end", type=float, default=None, help="default: one period")
-    p.add_argument("--dt", type=float, default=None, help="time step for stepped schemes")
+    p.add_argument("--samples", type=positive_int, default=200, help="sample rows after t=0")
+    p.add_argument("--t-end", type=positive_float, default=None, help="default: one period")
+    p.add_argument("--dt", type=positive_float, default=None, help="time step for stepped schemes")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("converge", parents=[common], help="error table and fitted slopes")
     p.add_argument("--scheme", choices=["nspring", "lumped", "galerkin"], default="nspring")
     p.add_argument("--n-list", default="25,50,100,200,400,800", help="comma-separated grid sizes")
-    p.add_argument("--steps-per-period", type=int, default=16384)
+    p.add_argument("--steps-per-period", type=positive_int, default=16384)
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("sweep", parents=[common], help="displacement along one parameter axis")
     p.add_argument("--axis", choices=["eps_tilde", "k_omega"], required=True)
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
-    p.add_argument("--points", type=int, required=True)
+    p.add_argument("--points", type=positive_int, required=True)
     p.add_argument("--log", action="store_true", help="logarithmic spacing")
     p.set_defaults(func=cmd_sweep)
 
@@ -310,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("analytic", parents=[common], help="closed-form node values on a time grid")
-    p.add_argument("--samples", type=int, default=200, help="sample rows after t=0")
+    p.add_argument("--samples", type=positive_int, default=200, help="sample rows after t=0")
     p.set_defaults(func=cmd_analytic)
 
     return parser

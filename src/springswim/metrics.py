@@ -200,6 +200,8 @@ def convergence_study(
     """
     if len(n_list) < 1:
         raise ValueError("n_list must not be empty")
+    if steps_per_period < 1:
+        raise ValueError(f"steps_per_period must be >= 1, got {steps_per_period}")
     mode = build_continuous_mode(params, forcing)
     t_report = 2.0 * math.pi / forcing.omega if sample_time is None else sample_time
     records = []

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from springswim.cli import main
+from springswim.cli import _write_csv, main
 
 
 def run(argv):
@@ -198,6 +198,45 @@ class TestSweep:
         # 17 significant digits reproduce the binary doubles exactly
         for row, exact in zip(rows, payload["displacements"]):
             assert float(row[1]) == exact
+        # every number in the header and first row of every CSV is printed with %.17g;
+        # 300 springs make rows longer than one formatting slice
+        config = write_config(tmp_path, n_springs=300)
+        for i, command in enumerate(
+            [
+                ["simulate", "--samples", "8"],
+                ["simulate", "--scheme", "lumped", "--samples", "8"],
+                ["analytic", "--samples", "8"],
+                ["converge", "--n-list", "25,50,100"],
+            ]
+        ):
+            out = tmp_path / f"run{i}"
+            assert run([*command, "--config", config, "--out", out]) == 0
+            for path in out.glob("*.csv"):
+                header, rows = read_csv(path)
+                for token in header + rows[0]:
+                    try:
+                        value = float(token)
+                    except ValueError:  # a column name
+                        continue
+                    assert token == "%.17g" % value, path
+
+
+SPECIAL_VALUES = [
+    -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, 0.1, 1 / 3, 25.0,
+]
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("width", [len(SPECIAL_VALUES), 256, 257, 600])
+    def test_line_is_percent_17g_join(self, tmp_path, width):
+        rng = np.random.default_rng(width)
+        table = rng.standard_normal((3, width)) * 10.0 ** rng.integers(-300, 300, (3, width))
+        table[0] = np.resize(SPECIAL_VALUES, width)
+        path = tmp_path / "table.csv"
+        _write_csv(path, "header", table)
+        expected = ["header"] + [",".join("%.17g" % v for v in row) for row in table.tolist()] + [""]
+        assert path.read_text().split("\n") == expected
 
 
 class TestOptimize:
@@ -264,10 +303,29 @@ class TestErrorHandling:
         assert err.startswith("error: ")
         assert "\n" not in err.rstrip("\n")
 
-    def test_bad_flag_value_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            run(["sweep", "--axis", "spin", "--from", "1", "--to", "2", "--points", "3"])
-        assert excinfo.value.code == 2
+    def test_bad_flag_value_exits_2(self, tmp_path, capsys, subtests):
+        cases = [
+            ["sweep", "--axis", "spin", "--from", "1", "--to", "2", "--points", "3"],
+            ["sweep", "--axis", "k_omega", "--from", "1", "--to", "2", "--points", "0"],
+            ["analytic", "--samples", "-1"],
+            ["simulate", "--scheme", "lumped", "--samples", "0"],
+            ["simulate", "--scheme", "lumped", "--dt", "0"],
+            ["simulate", "--scheme", "lumped", "--dt", "-1e-3"],
+            ["simulate", "--scheme", "lumped", "--dt", "nan"],
+            ["simulate", "--scheme", "lumped", "--dt", "inf"],
+            ["simulate", "--t-end", "0"],
+            ["converge", "--steps-per-period", "0"],
+        ]
+        for i, case in enumerate(cases):
+            with subtests.test(" ".join(case)):
+                out = tmp_path / f"case{i}"
+                with pytest.raises(SystemExit) as excinfo:
+                    run([*case, "--out", out])
+                assert excinfo.value.code == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error: argument ")
+                assert "\n" not in err.rstrip("\n")
+                assert not out.exists()
 
     def test_m_quad_flag_removed(self, capsys):
         for command in (["sweep", "--axis", "k_omega", "--from", "1", "--to", "2", "--points", "3"], ["optimize"]):

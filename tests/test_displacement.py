@@ -101,6 +101,46 @@ def trapezoid_reference(params, forcing, m=2048, chunk=128):
     return forcing.period * total / m
 
 
+def mpmath_drift(params, forcing):
+    """Drift of the bead chain in 50-digit arithmetic: the chain closed form, then the exact period mean.
+
+    It shares only the float parameters with the program, which takes the node
+    amplitudes from a banded float64 solve rather than from the closed form.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mpmath.workdps(50):
+        n = params.n_springs
+        a_tilde, a1, arm = mp.mpf(params.a_tilde), mp.mpf(params.a1), mp.mpf(forcing.L_ref)
+        rate = mp.mpf(params.k_tilde) / (6 * mp.pi * mp.mpf(params.mu) * a_tilde)
+        k_omega = rate / mp.mpf(forcing.omega)
+        swing = arm * mp.mpf(forcing.eps_tilde)
+        c = 1j / (k_omega * n * n)
+        root = (2 + c + mp.sqrt(c * (c + 4))) / 2
+        g = 1 / root if abs(root) > 1 else root  # the decaying characteristic root
+        q = g ** (2 * n)
+        z_d = (g - g ** (2 * n - 1)) / (1 - q)
+        b_d = -0.5j * swing / (1j / n + n * k_omega * (1 - z_d) + k_omega * a_tilde / (2 * a1))
+        powers = [mp.mpc(1)]
+        for _ in range(n):
+            powers.append(powers[-1] * g)
+        scale = b_d / (1 - q)
+        amps = [scale * (powers[j] - powers[n] * powers[n - j]) for j in range(n + 1)]
+
+        def mean(e, b, d):  # period mean of Re(e exp(iwt)) / (d + Re(b exp(iwt)))
+            b = mp.mpc(b)
+            s = mp.sqrt(d * d - b.real**2 - b.imag**2)
+            return -mp.re(e * mp.conj(b)) / (s * (s + d))
+
+        h = mp.mpf(params.Lambda) / n
+        tail, b = 0, swing
+        for j in range(n):
+            b += amps[j] / n
+            tail += mean(amps[j] - amps[j + 1], b, arm + (j + 1) * h)
+        head = -0.75 * rate * a_tilde * mean(amps[0], swing, arm)
+        return float(2 * mp.pi / mp.mpf(forcing.omega) * (head + 1.5 * rate * a_tilde * tail))
+
+
 class TestStrokeDiscrete:
     def test_zero_amplitude_zero_displacement(self):
         params, forcing = default_pair(eps_tilde=0.0)
@@ -152,6 +192,19 @@ class TestStrokeDiscrete:
         exact = stroke_displacement_discrete(params, forcing, mode_for(params, forcing))
         reference = trapezoid_reference(params, forcing)
         assert abs(exact.displacement - reference) <= 1e-9 * abs(reference)
+
+    @pytest.mark.parametrize("eps_tilde", [0.0, 0.5, 0.999])
+    @pytest.mark.parametrize("k_omega", [1e-8, 0.28, 1e8])
+    @pytest.mark.parametrize("n", [1, 2, 2000])
+    def test_matches_50_digit_reference(self, n, k_omega, eps_tilde):
+        params, forcing = default_pair(n_springs=n, eps_tilde=eps_tilde)
+        params = params_for_k_omega(params, forcing, k_omega)
+        drift = stroke_displacement_discrete(params, forcing, mode_for(params, forcing)).displacement
+        if eps_tilde == 0.0:
+            assert drift == 0.0
+        else:
+            reference = mpmath_drift(params, forcing)
+            assert abs(drift - reference) <= 1e-10 * abs(reference)
 
     def test_unphysical_amplitudes_rejected(self, monkeypatch):
         # oscillations this large drive a cumulative arm length through zero

@@ -302,3 +302,9 @@ class TestConvergenceStudy:
         params, forcing = config_from_mapping({})
         with pytest.raises(ValueError, match="n_list"):
             convergence_study(params, forcing, MassVariant.NSPRING, [])
+
+    @pytest.mark.parametrize("steps_per_period", [0, -4])
+    def test_step_count_below_one_rejected(self, steps_per_period):
+        params, forcing = config_from_mapping({})
+        with pytest.raises(ValueError, match="steps_per_period"):
+            convergence_study(params, forcing, MassVariant.TRAPEZOID, [25, 50], steps_per_period=steps_per_period)
