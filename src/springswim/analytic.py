@@ -5,8 +5,9 @@ mode. Along the spring chain the mode solves a constant-coefficient
 three-term recurrence, so node amplitudes combine powers of the two
 characteristic roots gamma_plus and gamma_minus (with gamma_plus *
 gamma_minus = 1). In the continuous limit the profile is a combination of
-exp(+-r y) with r the complex diffusion wavenumber. Physical elongations
-are real parts of amplitude * exp(i omega t).
+the decaying exp(-r y) and exp(-r (2 Lambda - y)), with r the complex
+diffusion wavenumber. Physical elongations are real parts of
+amplitude * exp(i omega t).
 """
 
 from __future__ import annotations
@@ -97,24 +98,32 @@ def build_discrete_mode(params: SwimmerParams, forcing: Forcing) -> DiscreteMode
 
 @dataclass(frozen=True)
 class ContinuousModeShape:
-    """Complex periodic profile alpha*exp(r y) + beta*exp(-r y) on [0, length]."""
+    """Complex periodic profile b*(exp(-r y) - exp(-r (2 length - y))) on [0, length].
+
+    Re(r) > 0, so both exponentials decay over the tail and no k_omega
+    overflows; the profile vanishes exactly at the pinned end y = length.
+    """
 
     length: float
     k_omega: float
     omega: float
     r: complex
-    alpha: complex
-    beta: complex
+    b: complex
 
     def profile(self, y) -> np.ndarray:
         """Complex amplitude at position y (array friendly)."""
         y = np.asarray(y, dtype=float)
-        return self.alpha * np.exp(self.r * y) + self.beta * np.exp(-self.r * y)
+        return self.b * (np.exp(-self.r * y) - np.exp(-self.r * (2.0 * self.length - y)))
 
     def profile_gradient(self, y) -> np.ndarray:
         """Complex amplitude of the spatial derivative at y."""
         y = np.asarray(y, dtype=float)
-        return self.r * (self.alpha * np.exp(self.r * y) - self.beta * np.exp(-self.r * y))
+        return -self.r * self.b * (np.exp(-self.r * y) + np.exp(-self.r * (2.0 * self.length - y)))
+
+    def profile_integral(self, y) -> np.ndarray:
+        """Complex amplitude of the integral of the profile from 0 to y."""
+        y = np.asarray(y, dtype=float)
+        return (self.b / self.r) * np.expm1(-self.r * y) * np.expm1(-self.r * (2.0 * self.length - y))
 
     def values(self, y, t: float) -> np.ndarray:
         """Physical elongation profile at time t."""
@@ -125,24 +134,20 @@ def build_continuous_mode(params: SwimmerParams, forcing: Forcing) -> Continuous
     """Solve i*lbar = Lambda^2 k_omega lbar'' with driven (Robin) and pinned ends.
 
     r = (1+i)/(Lambda*sqrt(2 k_omega)) so that r^2 = i/(Lambda^2 k_omega);
-    the pinned end fixes beta = -exp(2 r Lambda) * alpha and the Robin
-    condition at y = 0 fixes alpha.
+    the profile form pins the far end, and the Robin condition at y = 0,
+    written with m = expm1(-2 r Lambda), fixes the amplitude b.
     """
     k_omega = derive_groups(params, forcing).k_omega
     lam = params.Lambda
     r = (1.0 + 1j) / (lam * np.sqrt(2.0 * k_omega))
-    e2 = np.exp(2.0 * r * lam)
-    denom = 2.0 * k_omega * (
-        params.a_tilde / (2.0 * params.a1) * (e2 - 1.0) + lam * r * (e2 + 1.0)
-    )
-    if not np.isfinite(denom.real) or not np.isfinite(denom.imag) or abs(denom) == 0.0:
+    m = np.expm1(-2.0 * r * lam)
+    denom = 2.0 * k_omega * (params.a_tilde / (2.0 * params.a1) * m - lam * r * (2.0 + m))
+    if not np.isfinite(denom) or denom == 0.0:
         raise ValueError("profile normalization degenerate; k_omega outside the usable range")
-    alpha = 1j * forcing.eps / denom
     return ContinuousModeShape(
         length=lam,
         k_omega=k_omega,
         omega=forcing.omega,
         r=complex(r),
-        alpha=complex(alpha),
-        beta=complex(-e2 * alpha),
+        b=complex(1j * forcing.eps / denom),
     )

@@ -97,11 +97,6 @@ class AssembledSystem:
     forcing: Forcing
     load_amplitude: complex
 
-    def node_load(self, t: float) -> float:
-        """The node-0 load f_0(t)."""
-        phase = self.forcing.omega * t
-        return self.load_amplitude.real * math.cos(phase) - self.load_amplitude.imag * math.sin(phase)
-
 
 def assemble(params: SwimmerParams, forcing: Forcing, variant: MassVariant) -> AssembledSystem:
     """Assemble stiffness, mass and load for the chosen mass treatment.
@@ -170,6 +165,8 @@ class CrankNicolson:
     """Fixed-step trapezoid-rule integrator with a cached tridiagonal factorization.
 
     Each step solves (M + dt/2 A) u_next = (M - dt/2 A) u + dt*(f(t)+f(t+dt))/2.
+    Its node-0 load term is Re(G exp(i omega t)) = |G| cos(omega t + arg G),
+    G = dt/2 * F_0 * (1 + exp(i omega dt)) for the load amplitude F_0.
     The left matrix is symmetric positive definite tridiagonal; it is
     factored once as L D L^T (LAPACK dpttrf). Every assembled M - dt/2 A
     has one interior diagonal value and one off-diagonal value, with only
@@ -183,8 +180,10 @@ class CrankNicolson:
 
         if not (np.isfinite(dt) and dt > 0):
             raise ValueError(f"dt must be positive and finite, got {dt!r}")
-        self.system = system
         self.dt = dt
+        self._omega = omega = system.forcing.omega
+        g = 0.5 * dt * system.load_amplitude * (1.0 + complex(math.cos(omega * dt), math.sin(omega * dt)))
+        self._load_abs, self._load_arg = abs(g), math.atan2(g.imag, g.real)
         plus = system.mass.add_scaled(system.stiffness, 0.5 * dt)
         minus = system.mass.add_scaled(system.stiffness, -0.5 * dt)
         interior = minus.diag[-1]
@@ -201,12 +200,9 @@ class CrankNicolson:
         self._dpttrs = dpttrs
 
     def step(self, state: np.ndarray, t: float) -> np.ndarray:
-        n = self.system.grid.n
         # the full convolution's middle n entries are the stencil rows with zero outside
-        rhs = np.convolve(state, self._stencil)[1 : n + 1]
-        rhs[0] += self._corner * state[0] + 0.5 * self.dt * (
-            self.system.node_load(t) + self.system.node_load(t + self.dt)
-        )
+        rhs = np.convolve(state, self._stencil)[1:-1]
+        rhs[0] += self._corner * state[0] + self._load_abs * math.cos(self._omega * t + self._load_arg)
         u, info = self._dpttrs(self._d, self._e, rhs, overwrite_b=True)
         if info != 0:
             raise np.linalg.LinAlgError(f"tridiagonal solve failed (dpttrs info={info})")

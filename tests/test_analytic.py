@@ -185,15 +185,26 @@ class TestContinuousMode:
     def test_pinned_end(self):
         params, forcing = default_pair()
         mode = build_continuous_mode(params, forcing)
-        scale = abs(mode.alpha) * np.exp(mode.r.real * params.Lambda)
+        # magnitude of each of the two terms that cancel at the pinned end
+        scale = abs(mode.b) * np.exp(-mode.r.real * params.Lambda)
         assert abs(mode.profile(params.Lambda)) <= 1e-12 * scale
         assert abs(mode.values(params.Lambda, 0.8)) <= 1e-12 * scale
 
     def test_zero_forcing(self):
         params, forcing = default_pair(eps_tilde=0.0)
         mode = build_continuous_mode(params, forcing)
-        assert mode.alpha == 0.0 and mode.beta == 0.0
+        assert mode.b == 0.0
         assert mode.values(1e-4, 2.0) == 0.0
+
+    def test_smallest_k_omega_is_finite(self):
+        # exp(2 r Lambda) overflowed here when the profile grew along the tail
+        params, forcing = default_pair()
+        mode = build_continuous_mode(params_for_k_omega(params, forcing, 1e-8), forcing)
+        assert np.isfinite(mode.r) and np.isfinite(mode.b) and mode.b != 0.0
+        head = abs(mode.profile(0.0))
+        assert np.isfinite(head) and head > 0.0
+        for t in (0.0, 0.8, 2.0):
+            assert abs(mode.values(params.Lambda, t)) <= 1e-12 * head
 
     def test_robin_condition(self):
         for params, forcing in random_cases(seed=43, count=50):

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from springswim import displacement
 from springswim.analytic import build_continuous_mode, build_discrete_mode
@@ -246,13 +247,37 @@ class TestStrokeContinuous:
         result = stroke_displacement_continuous(params, forcing, mode)
         assert result.displacement == 0.0
 
-    def test_resolution_floors(self):
-        params, forcing = default_pair()
+    @pytest.mark.parametrize("eps_tilde", [0.7, 0.999])
+    @pytest.mark.parametrize("k_omega", [1e-8, 1e-5, 1e-2, 0.28, 10.0, 1e3, 1e8])
+    def test_matches_adaptive_quadrature(self, k_omega, eps_tilde):
+        # the same y-integrand, written here from the exponential form and
+        # integrated by QUADPACK with breakpoints at multiples of the boundary
+        # layer width, not at the program's panel edges
+        base, forcing = default_pair(eps_tilde=eps_tilde)
+        params = params_for_k_omega(base, forcing, k_omega)
         mode = build_continuous_mode(params, forcing)
-        with pytest.raises(ValueError, match="m_quad"):
-            stroke_displacement_continuous(params, forcing, mode, m_quad=32)
-        with pytest.raises(ValueError, match="m_space"):
-            stroke_displacement_continuous(params, forcing, mode, m_space=64)
+        lam, arm, r, b = params.Lambda, forcing.L_ref, mode.r, mode.b
+        swing = arm * eps_tilde
+        k_a = params.relaxation_rate * params.a_tilde
+
+        def mean(e, bb, d):
+            s = math.sqrt(d * d - abs(bb) ** 2)
+            return -(e * bb.conjugate()).real / (s * (s + d))
+
+        def integrand(y):
+            near, far = np.exp(-r * y), np.exp(-r * (2.0 * lam - y))
+            cumulative = (b / r) * (1.0 - near - far + np.exp(-2.0 * r * lam))
+            return mean(-r * b * (near + far), swing + cumulative / lam, arm + y)
+
+        delta = lam * math.sqrt(2.0 * k_omega)
+        breaks = [delta * 2.0**j for j in range(-2, 8) if delta * 2.0**j < lam]
+        tail, _ = quad(integrand, 0.0, lam, points=breaks or None, epsabs=0.0, epsrel=1e-13, limit=500)
+        head = mean(b * (1.0 - np.exp(-2.0 * r * lam)), complex(swing), arm)
+        expected = forcing.period * (-0.75 * k_a * head - 1.5 * k_a * tail)
+
+        result = stroke_displacement_continuous(params, forcing, mode)
+        assert result.quadrature_points == 1
+        assert abs(result.displacement - expected) <= 1e-12 * abs(expected)
 
     def test_length_mismatch_rejected(self):
         params, forcing = default_pair()
@@ -276,6 +301,28 @@ class TestStrokeContinuous:
             gaps.append(abs(discrete - continuous))
         assert all(coarse > fine for coarse, fine in zip(gaps, gaps[1:]))
         assert gaps[-1] / abs(continuous) < 0.01
+
+    @pytest.mark.parametrize("k_omega", [0.28, 10.0])
+    def test_discrete_limit_is_first_order(self, k_omega):
+        # the bead-chain drift D_n converges to the continuous D_inf like 1/n,
+        # so one Richardson step from n = 1e4 and 1e5 lands on D_inf
+        base, forcing = default_pair()
+        tuned = params_for_k_omega(base, forcing, k_omega)
+        limit = stroke_displacement_continuous(
+            tuned, forcing, build_continuous_mode(tuned, forcing)
+        ).displacement
+        ns = (100, 1000, 10_000, 100_000)
+        drifts = []
+        for n in ns:
+            refined = dataclasses.replace(tuned, n_springs=n)
+            drifts.append(
+                stroke_displacement_discrete(refined, forcing, mode_for(refined, forcing)).displacement
+            )
+        gaps = np.abs(np.array(drifts) - limit) / abs(limit)
+        order = -np.polyfit(np.log(ns), np.log(gaps), 1)[0]
+        assert 0.95 <= order <= 1.05, f"fitted order {order:.4f}, gaps {gaps}"
+        richardson = (10.0 * drifts[-1] - drifts[-2]) / 9.0
+        assert abs(richardson - limit) <= 1e-7 * abs(limit)
 
     def test_chi_stays_in_bounds(self):
         # recompute the chi denominator on a sample grid and compare with the

@@ -35,9 +35,9 @@ def dense(matrix):
 
 
 def load_vector(system, t):
-    """The full load vector at time t: node_load at node 0, zero elsewhere."""
+    """The full load vector at time t: Re(load_amplitude exp(i omega t)) at node 0, zero elsewhere."""
     f = np.zeros(system.grid.n)
-    f[0] = system.node_load(t)
+    f[0] = (system.load_amplitude * np.exp(1j * system.forcing.omega * t)).real
     return f
 
 
@@ -133,9 +133,12 @@ class TestAssembly:
         system = assemble(params, forcing, MassVariant.TRAPEZOID)
         lam = params.Lambda
         quarter = 0.5 * math.pi / forcing.omega
-        assert system.node_load(0.0) == 0.0  # sin(0) = 0
         expected = (lam / 2.0) * forcing.L_ref * forcing.eps_tilde * forcing.omega
-        assert system.node_load(quarter) == pytest.approx(expected, rel=1e-12)
+        assert system.load_amplitude.real == 0.0  # f_0(0) = 0: the load is a pure sine
+        assert system.load_amplitude == pytest.approx(-1j * expected, rel=1e-12)
+        f = load_vector(system, quarter)
+        assert f[0] == pytest.approx(expected, rel=1e-12)
+        assert not np.any(f[1:])
 
     def test_nspring_rows_match_component_equations(self):
         # matrix form M u' + A u = f against the per-node spring equations
