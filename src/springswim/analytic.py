@@ -47,9 +47,14 @@ class DiscreteModeShape:
         return self.b_d * (p - p[self.n] * p[::-1]) / (1.0 - q)
 
     def node_values(self, t) -> np.ndarray:
-        """Physical elongations at all nodes at time t; an array of times gives one row each."""
+        """Physical elongations at all nodes at time t; an array of times gives one row each.
+
+        The pinned end is set to +0: the real part of its zero amplitude times a phase can be -0.
+        """
         phase = np.exp(1j * self.omega * np.asarray(t, dtype=float))
-        return np.real(phase[..., None] * self.node_amplitudes())
+        values = np.real(phase[..., None] * self.node_amplitudes())
+        values[..., -1] = 0.0
+        return values
 
 
 def build_discrete_mode(params: SwimmerParams, forcing: Forcing) -> DiscreteModeShape:

@@ -91,7 +91,6 @@ def cmd_simulate(args) -> list[Path]:
     if args.scheme == "analytic":
         times = np.linspace(0.0, t_end, args.samples + 1)
         ell = build_discrete_mode(params, forcing).node_values(times)
-        ell[:, -1] = 0.0
     else:
         system = assemble(params, forcing, MassVariant(args.scheme))
         dt = t_end / 1024 if args.dt is None else args.dt
@@ -264,9 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, default=None, help="JSON parameter file")
     common.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    common.add_argument(
-        "--seed", type=int, default=None, help="reserved; all computations are deterministic"
-    )
 
     parser = _Parser(prog="springswim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

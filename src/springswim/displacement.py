@@ -18,12 +18,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .analytic import (
-    ContinuousModeShape,
-    DiscreteModeShape,
-    build_continuous_mode,
-    build_discrete_mode,
-)
+from .analytic import DiscreteModeShape, build_continuous_mode, build_discrete_mode
 from .fem import MassVariant, assemble, harmonic_state
 from .model import Forcing, SwimmerParams, derive_groups, params_for_k_omega
 
@@ -132,13 +127,37 @@ def _check_discrete(params: SwimmerParams, forcing: Forcing, mode: DiscreteModeS
 
 
 def _period_mean(e, b, d):
-    """Period mean of Re(e exp(iwt)) / (d + Re(b exp(iwt))), elementwise, for d > |b|.
+    """Period mean of Re(e exp(iwt)) / (d + Re(b exp(iwt))), elementwise.
 
     It is -Re(e conj(b)) / (s (s + d)), s = sqrt(d^2 - |b|^2): exactly 0 at b = 0.
+    |b| < d everywhere is the condition that every denominator stays positive
+    over the whole period; anything else is rejected.
     """
     swing = np.abs(b)
+    if not np.all(swing < d):
+        raise ValueError("unphysical state: non-positive cumulative arm length")
     s = np.sqrt((d - swing) * (d + swing))
     return -np.real(e * np.conj(b)) / (s * (s + d))
+
+
+def _drift(params: SwimmerParams, forcing: Forcing, head_amp, tail) -> StrokeResult:
+    """Net displacement over one period from the head elongation amplitude and the tail.
+
+    tail is the period-mean tail term already reduced over the tail: the chain
+    sum of the bead model or its integral over y in the continuous limit. The
+    head term is the period mean of head_amp / L0(t).
+    """
+    k = params.relaxation_rate
+    arm = forcing.L_ref
+    head = -0.75 * k * params.a_tilde * _period_mean(head_amp, arm * forcing.eps_tilde, arm)
+    return StrokeResult(
+        displacement=forcing.period * float(head + 1.5 * params.a_tilde * k * tail),
+        eps_tilde=forcing.eps_tilde,
+        k_omega=derive_groups(params, forcing).k_omega,
+        omega=forcing.omega,
+        n=params.n_springs,
+        quadrature_points=1,
+    )
 
 
 def stroke_displacement_discrete(
@@ -159,24 +178,10 @@ def stroke_displacement_discrete(
     """
     _check_discrete(params, forcing, mode)
     n = params.n_springs
-    k = params.relaxation_rate
     amps = np.append(harmonic_state(assemble(params, forcing, MassVariant.NSPRING)), 0.0)
-    arm = forcing.L_ref
-    swing = arm * forcing.eps_tilde
-    b = swing + np.cumsum(amps[:n]) / n
-    d = arm + params.h * np.arange(1, n + 1)
-    if not np.all(np.abs(b) < d):
-        raise ValueError("unphysical state: non-positive cumulative arm length")
-    head = -0.75 * k * params.a_tilde * _period_mean(amps[0], swing, arm)
-    tail = 1.5 * params.a_tilde * k * np.sum(_period_mean(amps[:n] - amps[1:], b, d))
-    return StrokeResult(
-        displacement=forcing.period * float(head + tail),
-        eps_tilde=forcing.eps_tilde,
-        k_omega=derive_groups(params, forcing).k_omega,
-        omega=forcing.omega,
-        n=n,
-        quadrature_points=1,
-    )
+    b = forcing.L_ref * forcing.eps_tilde + np.cumsum(amps[:n]) / n
+    d = forcing.L_ref + params.h * np.arange(1, n + 1)
+    return _drift(params, forcing, amps[0], np.sum(_period_mean(amps[:n] - amps[1:], b, d)))
 
 
 @functools.cache
@@ -192,44 +197,23 @@ def _unit_y_rule() -> tuple[np.ndarray, np.ndarray]:
     return (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
 
 
-def stroke_displacement_continuous(
-    params: SwimmerParams,
-    forcing: Forcing,
-    mode: ContinuousModeShape,
-) -> StrokeResult:
+def stroke_displacement_continuous(params: SwimmerParams, forcing: Forcing) -> StrokeResult:
     """Net displacement over one period in the continuous-tail limit, exact in time.
 
-    The law of stroke_displacement_discrete with the chain sums replaced by
-    integrals over the tail: at each y the tail term is the period mean of
-    P'(y) / (D + Re(B exp(i omega t))) with D = L + y and
-    B = L eps_tilde + (1/Lambda) int_0^y P, for the complex profile P. The
-    y integral uses the fixed dyadically graded Gauss rule of _unit_y_rule,
-    and |B| < D checks the denominator at every node.
+    The law of stroke_displacement_discrete with the chain sum replaced by an
+    integral over the tail: at each y the tail term is the period mean of
+    -P'(y) / (D + Re(B exp(i omega t))) with D = L + y and
+    B = L eps_tilde + (1/Lambda) int_0^y P, for the complex profile P of
+    build_continuous_mode. The y integral uses the fixed dyadically graded
+    Gauss rule of _unit_y_rule, and |B| < D checks the denominator at every node.
     """
-    if not math.isclose(mode.length, params.Lambda, rel_tol=1e-12):
-        raise ValueError("mode and params disagree on the tail length")
-    if not math.isclose(mode.omega, forcing.omega, rel_tol=1e-12):
-        raise ValueError("mode and forcing disagree on omega")
+    mode = build_continuous_mode(params, forcing)
     lam = params.Lambda
-    k = params.relaxation_rate
-    arm = forcing.L_ref
-    swing = arm * forcing.eps_tilde
     unit_y, unit_w = _unit_y_rule()
     y = lam * unit_y
-    b = swing + mode.profile_integral(y) / lam
-    d = arm + y
-    if not np.all(np.abs(b) < d):
-        raise ValueError("unphysical state: chi denominator non-positive")
-    head = -0.75 * k * params.a_tilde * _period_mean(mode.profile(0.0), swing, arm)
-    tail = -1.5 * k * params.a_tilde * lam * (unit_w @ _period_mean(mode.profile_gradient(y), b, d))
-    return StrokeResult(
-        displacement=forcing.period * float(head + tail),
-        eps_tilde=forcing.eps_tilde,
-        k_omega=mode.k_omega,
-        omega=forcing.omega,
-        n=params.n_springs,
-        quadrature_points=1,
-    )
+    b = forcing.L_ref * forcing.eps_tilde + mode.profile_integral(y) / lam
+    means = _period_mean(mode.profile_gradient(y), b, forcing.L_ref + y)
+    return _drift(params, forcing, mode.profile(0.0), -lam * (unit_w @ means))
 
 
 def sweep(

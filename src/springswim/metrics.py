@@ -187,7 +187,6 @@ def convergence_study(
     variant: MassVariant,
     n_list: list[int],
     steps_per_period: int = 16384,
-    sample_time: float | None = None,
 ) -> list[ErrorRecord]:
     """Errors of the chosen scheme against the continuous profile over a grid sweep.
 
@@ -203,17 +202,16 @@ def convergence_study(
     if steps_per_period < 1:
         raise ValueError(f"steps_per_period must be >= 1, got {steps_per_period}")
     mode = build_continuous_mode(params, forcing)
-    t_report = 2.0 * math.pi / forcing.omega if sample_time is None else sample_time
     records = []
     for n in n_list:
         refined = dc_replace(params, n_springs=int(n))
         if variant is MassVariant.NSPRING:
             discrete = build_discrete_mode(refined, forcing)
             grid = UniformGrid(n=refined.n_springs, spacing=refined.h, length=refined.Lambda)
-            field = ElongationField(grid=grid, values=discrete.node_values(t_report))
+            field = ElongationField(grid=grid, values=discrete.node_values(forcing.period))
         else:
-            field = _stepped_period_state(refined, forcing, variant, steps_per_period, t_report)
-        records.append(error_vs_analytic(field, mode, t_report))
+            field = _stepped_period_state(refined, forcing, variant, steps_per_period)
+        records.append(error_vs_analytic(field, mode, forcing.period))
     return records
 
 
@@ -222,16 +220,12 @@ def _stepped_period_state(
     forcing: Forcing,
     variant: MassVariant,
     steps_per_period: int,
-    t_report: float,
 ) -> ElongationField:
     system = assemble(params, forcing, variant)
     amplitudes = harmonic_state(system)
     initial = ElongationField(
         system.grid, np.concatenate([np.real(amplitudes), [0.0]])
     )
-    dt = (2.0 * math.pi / forcing.omega) / steps_per_period
-    nsteps = round(t_report / dt)
-    if abs(nsteps * dt - t_report) > 1e-9 * t_report:
-        raise ValueError("sample_time must be a whole number of steps")
-    trajectory = solve_transient(system, initial, t_report, dt, sample_every=nsteps)
+    dt = forcing.period / steps_per_period
+    trajectory = solve_transient(system, initial, forcing.period, dt, sample_every=steps_per_period)
     return ElongationField(system.grid, trajectory.values[-1])

@@ -69,14 +69,6 @@ class SwimmerParams:
         return self.Lambda / self.n_springs
 
     @property
-    def bead_radius(self) -> float:
-        return self.a_tilde / self.n_springs
-
-    @property
-    def spring_stiffness(self) -> float:
-        return self.k_tilde * self.n_springs
-
-    @property
     def relaxation_rate(self) -> float:
         """Elastic relaxation rate k_tilde / (6 pi mu a_tilde), in 1/s."""
         return self.k_tilde / (6.0 * math.pi * self.mu * self.a_tilde)

@@ -284,9 +284,7 @@ def test_criterion_10_discrete_continuous_limit_match():
     discrete = stroke_displacement_discrete(
         tuned, forcing, build_discrete_mode(tuned, forcing)
     )
-    continuous = stroke_displacement_continuous(
-        tuned, forcing, build_continuous_mode(tuned, forcing)
-    )
+    continuous = stroke_displacement_continuous(tuned, forcing)
     rel = abs(discrete.displacement - continuous.displacement) / abs(
         continuous.displacement
     )

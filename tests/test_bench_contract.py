@@ -24,5 +24,10 @@ def test_design_sweep_smoke_run():
     assert result.returncode == 0, result.stderr
     summary = json.loads(result.stdout.strip().splitlines()[-1])
     assert summary["correct"] is True
-    cells = summary["metrics"]["displacement.stroke_displacement_discrete.cells"]["value"]
-    assert cells > 0
+    metrics = {name: entry["value"] for name, entry in summary["metrics"].items()}
+    assert metrics["displacement.stroke_displacement_discrete.cells"] > 0
+    # the tracer sees kernel work only through this public name, so every sweep
+    # point and every optimizer evaluation must go through it
+    assert metrics["displacement.stroke_displacement_discrete.calls"] == (
+        metrics["displacement.sweep.points"] + metrics["displacement.optimize_k_omega.objective_evals"]
+    )

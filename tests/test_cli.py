@@ -283,6 +283,16 @@ class TestAnalytic:
         last = np.array([float(cell) for cell in rows[-1][1:]])
         assert np.allclose(first, last, rtol=1e-9, atol=1e-18)
 
+    def test_pinned_node_prints_unsigned_zero(self, tmp_path):
+        # both closed-form tables print the pinned far end as "0", never "-0"
+        config = write_config(tmp_path, n_springs=20)
+        assert run(["analytic", "--config", config, "--out", tmp_path]) == 0
+        assert run(["simulate", "--config", config, "--out", tmp_path]) == 0
+        for name in ("analytic.csv", "elongations.csv"):
+            rows = (tmp_path / name).read_text().splitlines()[1:]
+            assert len(rows) == 201
+            assert {row.rsplit(",", 1)[1] for row in rows} == {"0"}, name
+
     def test_mode_constants(self, tmp_path):
         config = write_config(tmp_path, n_springs=20)
         run(["analytic", "--config", config, "--out", tmp_path])
@@ -339,10 +349,6 @@ class TestErrorHandling:
         assert run(["analytic", "--config", config, "--out", tmp_path]) == 1
         err = capsys.readouterr().err
         assert err == "error: unknown config keys: young_modulus\n"
-
-    def test_seed_flag_accepted(self, tmp_path):
-        config = write_config(tmp_path, n_springs=6)
-        assert run(["analytic", "--config", config, "--out", tmp_path, "--seed", "7"]) == 0
 
 
 COLD_PATHS = """

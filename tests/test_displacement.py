@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from springswim import displacement
-from springswim.analytic import build_continuous_mode, build_discrete_mode
+from springswim.analytic import ContinuousModeShape, build_continuous_mode, build_discrete_mode
 from springswim.displacement import (
     OptimizeResult,
     StrokeResult,
@@ -207,13 +207,22 @@ class TestStrokeDiscrete:
             reference = mpmath_drift(params, forcing)
             assert abs(drift - reference) <= 1e-10 * abs(reference)
 
-    def test_unphysical_amplitudes_rejected(self, monkeypatch):
-        # oscillations this large drive a cumulative arm length through zero
+    @pytest.mark.parametrize("kernel", ["discrete", "continuous"])
+    def test_unphysical_amplitudes_rejected(self, monkeypatch, kernel):
+        # oscillations this large drive a cumulative arm length through zero;
+        # both kernels reject it through the same |B| < D check
         params, forcing = default_pair(n_springs=20)
-        mode = mode_for(params, forcing)
-        monkeypatch.setattr(displacement, "harmonic_state", lambda system: np.full(20, -40.0 * params.L))
-        with pytest.raises(ValueError, match="unphysical"):
-            stroke_displacement_discrete(params, forcing, mode)
+        message = "unphysical state: non-positive cumulative arm length"
+        if kernel == "discrete":
+            mode = mode_for(params, forcing)
+            monkeypatch.setattr(displacement, "harmonic_state", lambda system: np.full(20, -40.0 * params.L))
+            with pytest.raises(ValueError, match=message):
+                stroke_displacement_discrete(params, forcing, mode)
+        else:
+            swept = -40.0 * params.L * params.Lambda
+            monkeypatch.setattr(ContinuousModeShape, "profile_integral", lambda self, y: np.full(np.shape(y), swept))
+            with pytest.raises(ValueError, match=message):
+                stroke_displacement_continuous(params, forcing)
 
     def test_memory_is_linear_in_n(self):
         params, forcing = default_pair(n_springs=100_000)
@@ -243,8 +252,7 @@ class TestStrokeDiscrete:
 class TestStrokeContinuous:
     def test_zero_amplitude(self):
         params, forcing = default_pair(eps_tilde=0.0)
-        mode = build_continuous_mode(params, forcing)
-        result = stroke_displacement_continuous(params, forcing, mode)
+        result = stroke_displacement_continuous(params, forcing)
         assert result.displacement == 0.0
 
     @pytest.mark.parametrize("eps_tilde", [0.7, 0.999])
@@ -275,23 +283,14 @@ class TestStrokeContinuous:
         head = mean(b * (1.0 - np.exp(-2.0 * r * lam)), complex(swing), arm)
         expected = forcing.period * (-0.75 * k_a * head - 1.5 * k_a * tail)
 
-        result = stroke_displacement_continuous(params, forcing, mode)
+        result = stroke_displacement_continuous(params, forcing)
         assert result.quadrature_points == 1
         assert abs(result.displacement - expected) <= 1e-12 * abs(expected)
-
-    def test_length_mismatch_rejected(self):
-        params, forcing = default_pair()
-        mode = build_continuous_mode(params, forcing)
-        stretched = dataclasses.replace(params, Lambda=2.0 * params.Lambda)
-        with pytest.raises(ValueError, match="length"):
-            stroke_displacement_continuous(stretched, forcing, mode)
 
     def test_discrete_approaches_continuous(self):
         params, forcing = default_pair()
         tuned = params_for_k_omega(params, forcing, GRID_ARGMAX_K_OMEGA)
-        continuous = stroke_displacement_continuous(
-            tuned, forcing, build_continuous_mode(tuned, forcing)
-        ).displacement
+        continuous = stroke_displacement_continuous(tuned, forcing).displacement
         gaps = []
         for n in (250, 500, 1000, 2000, 4000):
             refined = dataclasses.replace(tuned, n_springs=n)
@@ -308,9 +307,7 @@ class TestStrokeContinuous:
         # so one Richardson step from n = 1e4 and 1e5 lands on D_inf
         base, forcing = default_pair()
         tuned = params_for_k_omega(base, forcing, k_omega)
-        limit = stroke_displacement_continuous(
-            tuned, forcing, build_continuous_mode(tuned, forcing)
-        ).displacement
+        limit = stroke_displacement_continuous(tuned, forcing).displacement
         ns = (100, 1000, 10_000, 100_000)
         drifts = []
         for n in ns:

@@ -290,14 +290,6 @@ class TestConvergenceStudy:
             )
             assert fit_rate(records, "l2").slope == pytest.approx(2.0, abs=0.15)
 
-    def test_sample_time_option(self):
-        params, forcing = config_from_mapping({})
-        quarter = 0.5 * math.pi / forcing.omega
-        records = convergence_study(
-            params, forcing, MassVariant.NSPRING, [25, 50, 100], sample_time=quarter
-        )
-        assert fit_rate(records, "l2").slope == pytest.approx(1.0, abs=0.15)
-
     def test_empty_n_list_rejected(self):
         params, forcing = config_from_mapping({})
         with pytest.raises(ValueError, match="n_list"):

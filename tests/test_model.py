@@ -31,10 +31,6 @@ class TestSwimmerParams:
     def test_scalings_with_n(self):
         params, _ = default_pair()
         assert params.h == pytest.approx(params.Lambda / params.n_springs, rel=1e-15)
-        assert params.bead_radius == pytest.approx(params.a_tilde / params.n_springs, rel=1e-15)
-        assert params.spring_stiffness == pytest.approx(
-            params.k_tilde * params.n_springs, rel=1e-15
-        )
 
     def test_relaxation_rate_linear_in_stiffness(self):
         params, _ = default_pair()
