@@ -294,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("optimize", parents=[common], help="maximize |displacement| over k_omega")
-    p.add_argument("--bracket", nargs=2, type=float, default=[1e-2, 1e2], metavar=("LO", "HI"))
-    p.add_argument("--rel-tol", type=float, default=1e-4)
+    p.add_argument("--bracket", nargs=2, type=positive_float, default=[1e-2, 1e2], metavar=("LO", "HI"))
+    p.add_argument("--rel-tol", type=positive_float, default=1e-4)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("analytic", parents=[common], help="closed-form node values on a time grid")

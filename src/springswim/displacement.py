@@ -272,8 +272,8 @@ def optimize_k_omega(
     stroke_displacement_discrete.
     """
     lo, hi = bracket
-    if not (0.0 < lo < hi):
-        raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket!r}")
+    if not (0.0 < lo < hi < math.inf):
+        raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket!r}")
     if not rel_tol > 0.0:
         raise ValueError(f"rel_tol must be positive, got {rel_tol!r}")
 

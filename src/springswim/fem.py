@@ -10,13 +10,23 @@ the driven node alone. Crank-Nicolson factors its tridiagonal left
 matrix once (LAPACK LDL^T), so a step is one three-point convolve and
 one O(n) solve.
 
-scipy is imported inside harmonic_state and CrankNicolson, the only two
-solves, so paths that never solve (the closed-form modes) load no scipy.
+Both solves call LAPACK through _lapack(), which loads scipy's compiled
+wrapper module scipy.linalg._flapack on first use and nothing else of
+scipy. Importing the scipy.linalg package would run its init, which
+loads numpy.testing, numpy.f2py, numpy.ma and numpy.random and costs
+more time and memory than a CLI call's whole solve; the wrapper module
+alone loads in milliseconds. Paths that never solve (the closed-form
+modes) load no scipy at all.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -138,27 +148,53 @@ def assemble(params: SwimmerParams, forcing: Forcing, variant: MassVariant) -> A
     )
 
 
+@functools.cache
+def _lapack():
+    """scipy.linalg._flapack, the compiled LAPACK wrappers, without scipy.linalg's package init.
+
+    The module is registered in sys.modules under its own name, so a later
+    import of scipy.linalg reuses the same object, and an earlier one is
+    reused here.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    package = importlib.util.find_spec("scipy")
+    roots = list(package.submodule_search_locations) if package is not None else []
+    for root in roots:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules[name] = module
+                return module
+    raise ImportError(f"cannot find the extension module {name} under {roots}")
+
+
 def harmonic_state(system: AssembledSystem) -> np.ndarray:
     """Complex node amplitudes of the periodic orbit of the semi-discrete system.
 
     Solves (i*omega*M + A) u = F where F is the complex load vector, zero
     but for load_amplitude at node 0; the physical orbit is
-    Re(u * exp(i omega t)).
+    Re(u * exp(i omega t)). The tridiagonal solve is LAPACK zgtsv, with
+    the checks and the n = 1 division of scipy.linalg.solve_banded.
     """
-    from scipy.linalg import solve_banded
-
     n = system.grid.n
     omega = system.forcing.omega
     diag = 1j * omega * system.mass.diag + system.stiffness.diag
     off = 1j * omega * system.mass.off + system.stiffness.off
-    ab = np.zeros((3, n), dtype=complex)
-    ab[1, :] = diag
-    if n > 1:
-        ab[0, 1:] = off
-        ab[2, :-1] = off
     rhs = np.zeros(n, dtype=complex)
     rhs[0] = system.load_amplitude
-    return solve_banded((1, 1), ab, rhs)
+    if not (np.isfinite(diag).all() and np.isfinite(off).all() and np.isfinite(rhs).all()):
+        raise ValueError("harmonic system must not contain infs or NaNs")
+    if n == 1:
+        return rhs / diag
+    *_, u, info = _lapack().zgtsv(off, diag, off, rhs, overwrite_d=True, overwrite_b=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular harmonic system (zgtsv info={info})")
+    return u
 
 
 class CrankNicolson:
@@ -176,8 +212,6 @@ class CrankNicolson:
     """
 
     def __init__(self, system: AssembledSystem, dt: float):
-        from scipy.linalg.lapack import dpttrf, dpttrs
-
         if not (np.isfinite(dt) and dt > 0):
             raise ValueError(f"dt must be positive and finite, got {dt!r}")
         self.dt = dt
@@ -194,10 +228,11 @@ class CrankNicolson:
         self._corner = minus.diag[0] - interior
         # the LAPACK wrappers reject an empty off-diagonal, so n == 1 passes an unread zero
         off = plus.off if plus.off.size else np.zeros(1)
-        self._d, self._e, info = dpttrf(plus.diag, off)
+        lapack = _lapack()
+        self._d, self._e, info = lapack.dpttrf(plus.diag, off)
         if info != 0:
             raise np.linalg.LinAlgError(f"M + dt/2 A is not positive definite (dpttrf info={info})")
-        self._dpttrs = dpttrs
+        self._dpttrs = lapack.dpttrs
 
     def step(self, state: np.ndarray, t: float) -> np.ndarray:
         # the full convolution's middle n entries are the stencil rows with zero outside

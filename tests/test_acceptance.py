@@ -29,8 +29,9 @@ from springswim import (
     sweep,
 )
 from springswim.fem import ElongationField, UniformGrid
-from springswim.metrics import norm_equivalence_check
 from springswim.model import config_from_mapping, params_for_k_omega
+
+from inner_products import norm_equivalence_check
 
 N_SWEEP = [25, 50, 100, 200, 400, 800]
 STEPS_PER_PERIOD = 16384

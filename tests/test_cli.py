@@ -325,6 +325,11 @@ class TestErrorHandling:
             ["simulate", "--scheme", "lumped", "--dt", "inf"],
             ["simulate", "--t-end", "0"],
             ["converge", "--steps-per-period", "0"],
+            ["optimize", "--bracket", "1e-2", "inf"],
+            ["optimize", "--bracket", "0", "1e2"],
+            ["optimize", "--bracket", "-1", "1e2"],
+            ["optimize", "--rel-tol", "0"],
+            ["optimize", "--rel-tol", "nan"],
         ]
         for i, case in enumerate(cases):
             with subtests.test(" ".join(case)):
@@ -355,18 +360,45 @@ COLD_PATHS = """
 import json, sys
 from springswim.cli import main
 
+def loaded():
+    return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+
 config, out = sys.argv[1], sys.argv[2]
 for command in (["simulate"], ["analytic"], ["converge", "--scheme", "nspring", "--n-list", "8,16,32"]):
     assert main([*command, "--config", config, "--out", out]) == 0
-cold = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
-assert main(["optimize", "--config", config, "--out", out]) == 0
-print(json.dumps({"cold": cold, "after_optimize": "scipy.linalg" in sys.modules}))
+report = {"cold": loaded()}
+solving = {
+    "optimize": ["optimize"],
+    "sweep": ["sweep", "--axis", "k_omega", "--from", "0.1", "--to", "1", "--points", "3"],
+    "simulate lumped": ["simulate", "--scheme", "lumped", "--samples", "4"],
+}
+for name, command in solving.items():
+    assert main([*command, "--config", config, "--out", out]) == 0
+    report[name] = loaded()
+print(json.dumps(report))
+"""
+
+IMPORT_ORDER = """
+import sys
+if sys.argv[1] == "scipy-first":
+    import scipy.linalg
+from springswim import MassVariant, assemble, fem, harmonic_state
+from springswim.model import config_from_mapping
+
+params, forcing = config_from_mapping({"n_springs": 8})
+harmonic_state(assemble(params, forcing, MassVariant.NSPRING))
+if sys.argv[1] == "solve-first":
+    assert "scipy.linalg" not in sys.modules
+import scipy.linalg.lapack
+assert sys.modules["scipy.linalg._flapack"] is fem._lapack()
+assert scipy.linalg.lapack.zgtsv is fem._lapack().zgtsv
 """
 
 
 class TestConsoleEntry:
     def test_closed_form_paths_load_no_scipy(self, tmp_path):
-        # simulate (analytic), analytic and converge (nspring) never solve, so they must not import scipy
+        # simulate (analytic), analytic and converge (nspring) never solve, so they must not import
+        # scipy; the solving commands load scipy's compiled LAPACK wrappers and nothing else of scipy
         config = write_config(tmp_path, n_springs=8)
         result = subprocess.run(
             [sys.executable, "-c", COLD_PATHS, str(config), str(tmp_path)],
@@ -375,8 +407,19 @@ class TestConsoleEntry:
         )
         assert result.returncode == 0, result.stderr
         report = json.loads(result.stdout.splitlines()[-1])
-        assert report["cold"] == []
-        assert report["after_optimize"]
+        assert report.pop("cold") == []
+        assert report == {
+            "optimize": ["scipy.linalg._flapack"],
+            "sweep": ["scipy.linalg._flapack"],
+            "simulate lumped": ["scipy.linalg._flapack"],
+        }
+
+    @pytest.mark.parametrize("order", ["solve-first", "scipy-first"])
+    def test_lapack_module_shared_with_scipy_linalg(self, order):
+        result = subprocess.run(
+            [sys.executable, "-c", IMPORT_ORDER, order], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_module_invocation(self, tmp_path):
         config = write_config(tmp_path, n_springs=6)

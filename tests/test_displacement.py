@@ -462,6 +462,9 @@ class TestOptimize:
         params, forcing = default_pair()
         with pytest.raises(ValueError, match="bracket"):
             optimize_k_omega(params, forcing, bracket=(1.0, 0.1))
+        for bracket in ((1e-2, math.inf), (1e-2, math.nan), (0.0, 1e2)):
+            with pytest.raises(ValueError, match="bracket must satisfy"):
+                optimize_k_omega(params, forcing, bracket=bracket)
         with pytest.raises(ValueError, match="rel_tol"):
             optimize_k_omega(params, forcing, rel_tol=0.0)
 

@@ -19,7 +19,7 @@ from springswim.fem import (
     harmonic_state,
     solve_transient,
 )
-from springswim.model import config_from_mapping
+from springswim.model import config_from_mapping, params_for_k_omega
 
 
 def default_pair(**overrides):
@@ -202,6 +202,52 @@ class TestHarmonicState:
         params, forcing = default_pair(n_springs=12, eps_tilde=0.0)
         system = assemble(params, forcing, MassVariant.CONSISTENT)
         assert np.all(harmonic_state(system) == 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 60, 2000])
+    @pytest.mark.parametrize("variant", list(MassVariant), ids=lambda variant: variant.value)
+    def test_bit_identical_to_solve_banded(self, variant, n):
+        from scipy.linalg import solve_banded
+
+        params, forcing = default_pair(n_springs=n)
+        for k_omega in (1e-8, 0.28, 1e8):
+            system = assemble(params_for_k_omega(params, forcing, k_omega), forcing, variant)
+            omega = forcing.omega
+            ab = np.zeros((3, n), dtype=complex)
+            ab[1] = 1j * omega * system.mass.diag + system.stiffness.diag
+            ab[0, 1:] = ab[2, :-1] = 1j * omega * system.mass.off + system.stiffness.off
+            rhs = np.zeros(n, dtype=complex)
+            rhs[0] = system.load_amplitude
+            expected = solve_banded((1, 1), ab, rhs)
+            assert harmonic_state(system).tobytes() == expected.tobytes(), k_omega
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_non_finite_system_rejected(self, n):
+        params, forcing = default_pair(n_springs=n)
+        system = assemble(params, forcing, MassVariant.CONSISTENT)
+        bad_diag = system.stiffness.diag.copy()
+        bad_diag[-1] = math.nan
+        bad_off = np.full(n - 1, math.inf)
+        cases = [
+            dataclasses.replace(system, stiffness=SymTridiag(bad_diag, system.stiffness.off)),
+            dataclasses.replace(system, load_amplitude=complex(math.inf, 0.0)),
+        ]
+        if n > 1:
+            cases.append(dataclasses.replace(system, stiffness=SymTridiag(system.stiffness.diag, bad_off)))
+        for case in cases:
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                harmonic_state(case)
+
+    def test_singular_system_rejected(self):
+        # [[1, 1], [1, 1]] with no mass term: elimination leaves an exact zero pivot
+        params, forcing = default_pair(n_springs=2)
+        system = assemble(params, forcing, MassVariant.NSPRING)
+        singular = dataclasses.replace(
+            system,
+            stiffness=SymTridiag(np.ones(2), np.ones(1)),
+            mass=SymTridiag(np.zeros(2), np.zeros(1)),
+        )
+        with pytest.raises(np.linalg.LinAlgError, match="zgtsv info=2"):
+            harmonic_state(singular)
 
 
 class TestCrankNicolson:

@@ -12,15 +12,14 @@ from springswim.metrics import (
     ErrorRecord,
     RateEstimate,
     convergence_study,
-    discrete_inner_products,
     error_vs_analytic,
     fit_rate,
     h1_seminorm,
-    l2_inner,
     l2_norm,
-    norm_equivalence_check,
 )
 from springswim.model import config_from_mapping
+
+from inner_products import discrete_inner_products, l2_inner, norm_equivalence_check
 
 
 def grid(n, length=1.0):
