@@ -12,11 +12,11 @@ one O(n) solve.
 
 Both solves call LAPACK through _lapack(), which loads scipy's compiled
 wrapper module scipy.linalg._flapack on first use and nothing else of
-scipy. Importing the scipy.linalg package would run its init, which
-loads numpy.testing, numpy.f2py, numpy.ma and numpy.random and costs
-more time and memory than a CLI call's whole solve; the wrapper module
-alone loads in milliseconds. Paths that never solve (the closed-form
-modes) load no scipy at all.
+scipy. Importing the scipy.linalg package would run its init, which also
+loads numpy.testing, numpy.f2py, numpy.ma and numpy.random: it roughly
+doubles the import time and memory of a solving CLI call, while the wrapper
+module alone loads in milliseconds. Paths that never solve (the
+closed-form modes) load no scipy at all.
 """
 
 from __future__ import annotations
