@@ -17,7 +17,7 @@ from .displacement import (
 )
 from .fem import MassVariant, assemble, harmonic_state, solve_transient
 from .metrics import convergence_study, fit_rate, h1_seminorm, l2_norm
-from .model import DEFAULTS, Forcing, SwimmerParams, derive_groups, load_config
+from .model import DEFAULTS, Forcing, SwimmerParams, k_omega_of, load_config
 
 __all__ = [
     "DEFAULTS",
@@ -28,10 +28,10 @@ __all__ = [
     "build_continuous_mode",
     "build_discrete_mode",
     "convergence_study",
-    "derive_groups",
     "fit_rate",
     "h1_seminorm",
     "harmonic_state",
+    "k_omega_of",
     "l2_norm",
     "load_config",
     "optimize_k_omega",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Forcing, SwimmerParams, derive_groups
+from .model import Forcing, SwimmerParams, k_omega_of
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def build_discrete_mode(params: SwimmerParams, forcing: Forcing) -> DiscreteMode
     are rearranged in powers of gamma_minus alone.
     """
     n = params.n_springs
-    k_omega = derive_groups(params, forcing).k_omega
+    k_omega = k_omega_of(params, forcing)
     c = 1j / (k_omega * n * n)
     root = 0.5 * (c + 2.0 + np.sqrt(c * (c + 4.0)))
     if abs(root) < 1.0:
@@ -142,7 +142,7 @@ def build_continuous_mode(params: SwimmerParams, forcing: Forcing) -> Continuous
     the profile form pins the far end, and the Robin condition at y = 0,
     written with m = expm1(-2 r Lambda), fixes the amplitude b.
     """
-    k_omega = derive_groups(params, forcing).k_omega
+    k_omega = k_omega_of(params, forcing)
     lam = params.Lambda
     r = (1.0 + 1j) / (lam * np.sqrt(2.0 * k_omega))
     m = np.expm1(-2.0 * r * lam)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .analytic import DiscreteModeShape, build_continuous_mode, build_discrete_mode
 from .fem import MassVariant, assemble, harmonic_state
-from .model import Forcing, SwimmerParams, derive_groups, params_for_k_omega
+from .model import Forcing, SwimmerParams, k_omega_of, params_for_k_omega
 
 SWEEP_AXES = ("eps_tilde", "k_omega")
 
@@ -59,8 +59,6 @@ class SweepTable:
             raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
         if not (len(self.values) == len(self.results) == len(self.failures)):
             raise ValueError("values, results and failures must align")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("sweep values must be strictly increasing")
 
     def displacements(self) -> np.ndarray:
         """Displacement per point, NaN where the point failed."""
@@ -153,7 +151,7 @@ def _drift(params: SwimmerParams, forcing: Forcing, head_amp, tail) -> StrokeRes
     return StrokeResult(
         displacement=forcing.period * float(head + 1.5 * params.a_tilde * k * tail),
         eps_tilde=forcing.eps_tilde,
-        k_omega=derive_groups(params, forcing).k_omega,
+        k_omega=k_omega_of(params, forcing),
         omega=forcing.omega,
         n=params.n_springs,
         quadrature_points=1,
@@ -233,6 +231,8 @@ def sweep(
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     values = tuple(float(v) for v in values)
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError("sweep values must be strictly increasing")
     for v in values:
         if axis == "eps_tilde" and not 0.0 <= v < 1.0:
             raise ValueError(f"eps_tilde value {v!r} outside [0, 1)")
@@ -268,14 +268,14 @@ def optimize_k_omega(
     The bracket must contain an interior maximum of the magnitude;
     convergence at a bracket edge is reported as an error. rel_tol is the
     final bracket width in log coordinates, i.e. the relative uncertainty
-    of the returned k_omega. m_quad is ignored, as in
-    stroke_displacement_discrete.
+    of the returned k_omega; one below the float spacing there is an error.
+    m_quad is ignored, as in stroke_displacement_discrete.
     """
     lo, hi = bracket
     if not (0.0 < lo < hi < math.inf):
         raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket!r}")
-    if not rel_tol > 0.0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol!r}")
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
 
     def objective(u: float) -> float:
         point = params_for_k_omega(params, forcing, math.exp(u))
@@ -284,11 +284,15 @@ def optimize_k_omega(
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = math.log(lo), math.log(hi)
+    # each step shrinks b - a by invphi; past this count rel_tol is below the float spacing of u
+    limit = math.ceil((math.log(max(b - a, rel_tol)) - math.log(rel_tol)) / -math.log(invphi)) + 8
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = objective(c), objective(d)
     iterations = 0
     while b - a > rel_tol:
+        if iterations == limit:
+            raise ValueError(f"rel_tol={rel_tol!r} not met in {limit} iterations: below the float spacing")
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)

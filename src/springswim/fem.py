@@ -82,28 +82,18 @@ class ElongationField:
 
 
 @dataclass(frozen=True)
-class SymTridiag:
-    """Symmetric tridiagonal matrix stored as main and super diagonal."""
-
-    diag: np.ndarray
-    off: np.ndarray
-
-    def add_scaled(self, other: "SymTridiag", factor: float) -> "SymTridiag":
-        return SymTridiag(self.diag + factor * other.diag, self.off + factor * other.off)
-
-
-@dataclass(frozen=True)
 class AssembledSystem:
     """Semi-discrete system M dl/dt + A l = load(t) on the retained nodes.
 
     The load is zero except at the driven node 0, where it is
     f_0(t) = Re(load_amplitude * exp(i omega t)); load_amplitude is
     -(Lambda/2) * i omega eps, the complex amplitude of -(Lambda/2) dL0/dt.
+    A and M are symmetric tridiagonal, each stored as (main, super) diagonals.
     """
 
     grid: UniformGrid
-    stiffness: SymTridiag
-    mass: SymTridiag
+    stiffness: tuple[np.ndarray, np.ndarray]
+    mass: tuple[np.ndarray, np.ndarray]
     forcing: Forcing
     load_amplitude: complex
 
@@ -124,18 +114,18 @@ def assemble(params: SwimmerParams, forcing: Forcing, variant: MassVariant) -> A
     diag = np.full(n, 2.0 * cond)
     diag[0] = cond + lam * k * params.a_tilde / (2.0 * params.a1)
     off = np.full(max(n - 1, 0), -cond)
-    stiffness = SymTridiag(diag, off)
+    stiffness = (diag, off)
 
     if variant is MassVariant.NSPRING:
-        mass = SymTridiag(np.full(n, h), np.zeros(max(n - 1, 0)))
+        mass = (np.full(n, h), np.zeros(max(n - 1, 0)))
     elif variant is MassVariant.TRAPEZOID:
         md = np.full(n, h)
         md[0] = 0.5 * h
-        mass = SymTridiag(md, np.zeros(max(n - 1, 0)))
+        mass = (md, np.zeros(max(n - 1, 0)))
     elif variant is MassVariant.CONSISTENT:
         md = np.full(n, 2.0 * h / 3.0)
         md[0] = h / 3.0
-        mass = SymTridiag(md, np.full(max(n - 1, 0), h / 6.0))
+        mass = (md, np.full(max(n - 1, 0), h / 6.0))
     else:
         raise ValueError(f"unknown mass variant {variant!r}")
 
@@ -183,8 +173,9 @@ def harmonic_state(system: AssembledSystem) -> np.ndarray:
     """
     n = system.grid.n
     omega = system.forcing.omega
-    diag = 1j * omega * system.mass.diag + system.stiffness.diag
-    off = 1j * omega * system.mass.off + system.stiffness.off
+    (mass_diag, mass_off), (stiff_diag, stiff_off) = system.mass, system.stiffness
+    diag = 1j * omega * mass_diag + stiff_diag
+    off = 1j * omega * mass_off + stiff_off
     rhs = np.zeros(n, dtype=complex)
     rhs[0] = system.load_amplitude
     if not (np.isfinite(diag).all() and np.isfinite(off).all() and np.isfinite(rhs).all()):
@@ -216,20 +207,21 @@ class CrankNicolson:
             raise ValueError(f"dt must be positive and finite, got {dt!r}")
         self.dt = dt
         self._omega = omega = system.forcing.omega
-        g = 0.5 * dt * system.load_amplitude * (1.0 + complex(math.cos(omega * dt), math.sin(omega * dt)))
+        half = 0.5 * dt
+        g = half * system.load_amplitude * (1.0 + complex(math.cos(omega * dt), math.sin(omega * dt)))
         self._load_abs, self._load_arg = abs(g), math.atan2(g.imag, g.real)
-        plus = system.mass.add_scaled(system.stiffness, 0.5 * dt)
-        minus = system.mass.add_scaled(system.stiffness, -0.5 * dt)
-        interior = minus.diag[-1]
-        coupling = minus.off[0] if minus.off.size else 0.0
-        if np.any(minus.diag[1:] != interior) or np.any(minus.off != coupling):
+        (mass_diag, mass_off), (stiff_diag, stiff_off) = system.mass, system.stiffness
+        minus_diag, minus_off = mass_diag - half * stiff_diag, mass_off - half * stiff_off
+        interior = minus_diag[-1]
+        coupling = minus_off[0] if minus_off.size else 0.0
+        if np.any(minus_diag[1:] != interior) or np.any(minus_off != coupling):
             raise ValueError("M - dt/2 A must have a uniform interior stencil")
         self._stencil = np.array([coupling, interior, coupling])
-        self._corner = minus.diag[0] - interior
+        self._corner = minus_diag[0] - interior
         # the LAPACK wrappers reject an empty off-diagonal, so n == 1 passes an unread zero
-        off = plus.off if plus.off.size else np.zeros(1)
+        plus_off = mass_off + half * stiff_off if mass_off.size else np.zeros(1)
         lapack = _lapack()
-        self._d, self._e, info = lapack.dpttrf(plus.diag, off)
+        self._d, self._e, info = lapack.dpttrf(mass_diag + half * stiff_diag, plus_off)
         if info != 0:
             raise np.linalg.LinAlgError(f"M + dt/2 A is not positive definite (dpttrf info={info})")
         self._dpttrs = lapack.dpttrs

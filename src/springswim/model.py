@@ -58,10 +58,12 @@ class SwimmerParams:
     def __post_init__(self) -> None:
         for name in ("a_tilde", "a1", "Lambda", "L", "k_tilde", "mu"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)  # JSON true is not 1
+            if not (number and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if not (isinstance(self.n_springs, int) and self.n_springs >= 1):
-            raise ValueError(f"n_springs must be an integer >= 1, got {self.n_springs!r}")
+        n = self.n_springs
+        if isinstance(n, bool) or not (isinstance(n, int) and n >= 1):
+            raise ValueError(f"n_springs must be an integer >= 1, got {n!r}")
 
     @property
     def h(self) -> float:
@@ -83,6 +85,10 @@ class Forcing:
     L_ref: float
 
     def __post_init__(self) -> None:
+        for name in ("eps_tilde", "omega", "L_ref"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):  # JSON true is not 1
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not (0.0 <= self.eps_tilde < 1.0):
             raise ValueError(f"eps_tilde must lie in [0, 1), got {self.eps_tilde!r}")
         if not (math.isfinite(self.omega) and self.omega > 0):
@@ -108,21 +114,12 @@ class Forcing:
         return -self.L_ref * self.eps_tilde * self.omega * np.sin(self.omega * np.asarray(t, dtype=float))
 
 
-@dataclass(frozen=True)
-class DimensionlessGroups:
-    """Rate K = k_tilde/(6 pi mu a_tilde) and its ratio to the driving frequency.
+def k_omega_of(params: SwimmerParams, forcing: Forcing) -> float:
+    """k_omega = K/omega, the relaxation rate K = k_tilde/(6 pi mu a_tilde) in driving periods.
 
-    k_omega is the single dimensionless group driving the stroke shape once
-    the geometry is fixed: elastic relaxation measured in driving periods.
+    It is the single dimensionless group driving the stroke shape once the geometry is fixed.
     """
-
-    k_rate: float
-    k_omega: float
-
-
-def derive_groups(params: SwimmerParams, forcing: Forcing) -> DimensionlessGroups:
-    k = params.relaxation_rate
-    return DimensionlessGroups(k_rate=k, k_omega=k / forcing.omega)
+    return params.relaxation_rate / forcing.omega
 
 
 def params_for_k_omega(params: SwimmerParams, forcing: Forcing, k_omega: float) -> SwimmerParams:

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from springswim.analytic import build_continuous_mode, build_discrete_mode
-from springswim.model import config_from_mapping, derive_groups, params_for_k_omega
+from springswim.model import config_from_mapping, k_omega_of, params_for_k_omega
 
 
 def default_pair(**overrides):
@@ -73,7 +73,7 @@ class TestDiscreteMode:
         params, forcing = default_pair(n_springs=1)
         assert params.a_tilde == params.a1
         mode = build_discrete_mode(params, forcing)
-        k_omega = derive_groups(params, forcing).k_omega
+        k_omega = k_omega_of(params, forcing)
         assert abs(mode.z_d) < 1e-14
         expected = -(0.5j * forcing.eps) / (1j + 1.5 * k_omega)
         assert mode.b_d == pytest.approx(expected, rel=1e-12)

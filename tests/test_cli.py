@@ -355,6 +355,13 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err == "error: unknown config keys: young_modulus\n"
 
+    def test_json_boolean_exits_1(self, tmp_path, capsys):
+        # true used to pass as n_springs = 1 and failed inside numpy
+        config = write_config(tmp_path, n_springs=True)
+        sweep = ["sweep", "--axis", "k_omega", "--from", "0.1", "--to", "1", "--points", "3"]
+        assert run([*sweep, "--config", config, "--out", tmp_path]) == 1
+        assert capsys.readouterr().err == "error: n_springs must be an integer >= 1, got True\n"
+
 
 COLD_PATHS = """
 import json, sys
@@ -364,13 +371,14 @@ def loaded():
     return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
 
 config, out = sys.argv[1], sys.argv[2]
-for command in (["simulate"], ["analytic"], ["converge", "--scheme", "nspring", "--n-list", "8,16,32"]):
+for command in (["simulate"], ["analytic"]):
     assert main([*command, "--config", config, "--out", out]) == 0
 report = {"cold": loaded()}
 solving = {
     "optimize": ["optimize"],
     "sweep": ["sweep", "--axis", "k_omega", "--from", "0.1", "--to", "1", "--points", "3"],
     "simulate lumped": ["simulate", "--scheme", "lumped", "--samples", "4"],
+    "converge nspring": ["converge", "--scheme", "nspring", "--n-list", "8,16,32"],
 }
 for name, command in solving.items():
     assert main([*command, "--config", config, "--out", out]) == 0
@@ -397,8 +405,8 @@ assert scipy.linalg.lapack.zgtsv is fem._lapack().zgtsv
 
 class TestConsoleEntry:
     def test_closed_form_paths_load_no_scipy(self, tmp_path):
-        # simulate (analytic), analytic and converge (nspring) never solve, so they must not import
-        # scipy; the solving commands load scipy's compiled LAPACK wrappers and nothing else of scipy
+        # simulate (analytic) and analytic never solve, so they must not import scipy; the solving
+        # commands, converge (nspring) among them, load scipy's compiled LAPACK wrappers and nothing else
         config = write_config(tmp_path, n_springs=8)
         result = subprocess.run(
             [sys.executable, "-c", COLD_PATHS, str(config), str(tmp_path)],
@@ -412,6 +420,7 @@ class TestConsoleEntry:
             "optimize": ["scipy.linalg._flapack"],
             "sweep": ["scipy.linalg._flapack"],
             "simulate lumped": ["scipy.linalg._flapack"],
+            "converge nspring": ["scipy.linalg._flapack"],
         }
 
     @pytest.mark.parametrize("order", ["solve-first", "scipy-first"])

@@ -1,7 +1,9 @@
 """Stroke displacement: formulas, sweeps and the k_omega optimizer."""
 
+import contextlib
 import dataclasses
 import math
+import signal
 import tracemalloc
 
 import numpy as np
@@ -21,7 +23,7 @@ from springswim.displacement import (
     sweep,
 )
 from springswim.fem import MassVariant, assemble, harmonic_state
-from springswim.model import config_from_mapping, derive_groups, params_for_k_omega
+from springswim.model import config_from_mapping, k_omega_of, params_for_k_omega
 
 # argmax of |displacement| on the 100-point log grid over [1e-2, 1e2],
 # reference parameters, eps_tilde = 0.7; cross-checked during development
@@ -37,6 +39,22 @@ def default_pair(**overrides):
 
 def mode_for(params, forcing):
     return build_discrete_mode(params, forcing)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once it has run for seconds (SIGALRM, main thread)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestInstantaneousV1:
@@ -373,6 +391,21 @@ class TestSweep:
         with pytest.raises(ValueError, match="increasing"):
             sweep(params, forcing, "k_omega", [1.0, 1.0])
 
+    def test_order_checked_before_any_kernel_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return stroke_displacement_discrete(*args)
+
+        monkeypatch.setattr(displacement, "stroke_displacement_discrete", counted)
+        params, forcing = default_pair(n_springs=50_000)
+        with pytest.raises(ValueError, match="increasing"):
+            sweep(params, forcing, "k_omega", [10.0, 1.0, 0.1])
+        assert calls == []
+        sweep(params, forcing, "k_omega", [0.1, 1.0, 10.0])
+        assert len(calls) == 3  # the counter sees the sweep's kernel calls
+
     def test_table_alignment_enforced(self):
         with pytest.raises(ValueError, match="align"):
             SweepTable(axis="k_omega", values=(1.0,), results=(), failures=(None,))
@@ -465,14 +498,30 @@ class TestOptimize:
         for bracket in ((1e-2, math.inf), (1e-2, math.nan), (0.0, 1e2)):
             with pytest.raises(ValueError, match="bracket must satisfy"):
                 optimize_k_omega(params, forcing, bracket=bracket)
-        with pytest.raises(ValueError, match="rel_tol"):
-            optimize_k_omega(params, forcing, rel_tol=0.0)
+        for rel_tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="rel_tol must be positive and finite"):
+                optimize_k_omega(params, forcing, rel_tol=rel_tol)
 
     def test_no_interior_extremum_detected(self):
         # |displacement| is decreasing on [10, 100]; the search hits the edge
         params, forcing = default_pair(n_springs=100)
         with pytest.raises(ValueError, match="interior"):
             optimize_k_omega(params, forcing, bracket=(10.0, 100.0))
+
+    @pytest.mark.parametrize("rel_tol", [2e-16, 1e-300])
+    def test_rel_tol_below_float_spacing_fails_fast(self, rel_tol):
+        # b - a stalls a few ulps above zero near ln(0.28), so such a rel_tol is never met
+        params, forcing = default_pair(n_springs=20)
+        with time_limit(10.0), pytest.raises(ValueError, match=r"not met in \d+ iterations"):
+            optimize_k_omega(params, forcing, rel_tol=rel_tol)
+
+    def test_rel_tol_near_float_spacing_still_converges(self):
+        params, forcing = default_pair(n_springs=20)
+        with time_limit(10.0):
+            result = optimize_k_omega(params, forcing, rel_tol=3e-16)
+        width = math.log(1e2) - math.log(1e-2)
+        ideal = math.ceil(math.log(3e-16 / width) / math.log((math.sqrt(5.0) - 1.0) / 2.0))
+        assert abs(result.iterations - ideal) <= 2
 
     def test_reports_iteration_count(self):
         params, forcing = default_pair(n_springs=100)
@@ -487,7 +536,7 @@ class TestGroupsConsistency:
         params, forcing = default_pair(n_springs=150)
         result = stroke_displacement_discrete(params, forcing, mode_for(params, forcing))
         assert result.k_omega == pytest.approx(
-            derive_groups(params, forcing).k_omega, rel=1e-14
+            k_omega_of(params, forcing), rel=1e-14
         )
         assert result.eps_tilde == forcing.eps_tilde
         assert result.quadrature_points == 1

@@ -12,7 +12,6 @@ from springswim.fem import (
     CrankNicolson,
     ElongationField,
     MassVariant,
-    SymTridiag,
     Trajectory,
     UniformGrid,
     assemble,
@@ -27,10 +26,11 @@ def default_pair(**overrides):
 
 
 def dense(matrix):
-    """The full matrix of a SymTridiag."""
-    full = np.diag(matrix.diag)
-    if matrix.off.size:
-        full += np.diag(matrix.off, 1) + np.diag(matrix.off, -1)
+    """The full matrix of a symmetric tridiagonal (main, super) diagonal pair."""
+    diag, off = matrix
+    full = np.diag(diag)
+    if off.size:
+        full += np.diag(off, 1) + np.diag(off, -1)
     return full
 
 
@@ -79,15 +79,6 @@ class TestGridAndField:
             ElongationField(grid, np.array([1.0, 2.0, 3.0, 1e-300]))
 
 
-class TestSymTridiag:
-    def test_add_scaled(self):
-        rng = np.random.default_rng(4)
-        a = SymTridiag(rng.normal(size=5), rng.normal(size=4))
-        b = SymTridiag(rng.normal(size=5), rng.normal(size=4))
-        combo = a.add_scaled(b, -0.3)
-        assert np.allclose(dense(combo), dense(a) - 0.3 * dense(b), rtol=1e-14)
-
-
 class TestAssembly:
     def test_two_spring_hand_values(self):
         params, forcing = default_pair(n_springs=2)
@@ -97,24 +88,25 @@ class TestAssembly:
         k = params.relaxation_rate
         cond = lam * lam * k / h
         robin = lam * k * params.a_tilde / (2.0 * params.a1)
-        assert np.allclose(system.stiffness.diag, [cond + robin, 2.0 * cond], rtol=1e-14)
-        assert np.allclose(system.stiffness.off, [-cond], rtol=1e-14)
-        assert np.allclose(system.mass.diag, [h, h])
-        assert np.all(system.mass.off == 0.0)
+        (stiff_diag, stiff_off), (mass_diag, mass_off) = system.stiffness, system.mass
+        assert np.allclose(stiff_diag, [cond + robin, 2.0 * cond], rtol=1e-14)
+        assert np.allclose(stiff_off, [-cond], rtol=1e-14)
+        assert np.allclose(mass_diag, [h, h])
+        assert np.all(mass_off == 0.0)
 
     def test_mass_variants(self):
         params, forcing = default_pair(n_springs=5)
         h = params.h
-        nspring = assemble(params, forcing, MassVariant.NSPRING).mass
-        assert np.allclose(nspring.diag, h)
-        trap = assemble(params, forcing, MassVariant.TRAPEZOID).mass
-        assert trap.diag[0] == pytest.approx(0.5 * h, rel=1e-15)
-        assert np.allclose(trap.diag[1:], h)
-        assert np.all(trap.off == 0.0)
-        cons = assemble(params, forcing, MassVariant.CONSISTENT).mass
-        assert cons.diag[0] == pytest.approx(h / 3.0, rel=1e-15)
-        assert np.allclose(cons.diag[1:], 2.0 * h / 3.0)
-        assert np.allclose(cons.off, h / 6.0)
+        nspring_diag, _ = assemble(params, forcing, MassVariant.NSPRING).mass
+        assert np.allclose(nspring_diag, h)
+        trap_diag, trap_off = assemble(params, forcing, MassVariant.TRAPEZOID).mass
+        assert trap_diag[0] == pytest.approx(0.5 * h, rel=1e-15)
+        assert np.allclose(trap_diag[1:], h)
+        assert np.all(trap_off == 0.0)
+        cons_diag, cons_off = assemble(params, forcing, MassVariant.CONSISTENT).mass
+        assert cons_diag[0] == pytest.approx(h / 3.0, rel=1e-15)
+        assert np.allclose(cons_diag[1:], 2.0 * h / 3.0)
+        assert np.allclose(cons_off, h / 6.0)
 
     def test_stiffness_positive_definite(self):
         params, forcing = default_pair(n_springs=64)
@@ -173,9 +165,10 @@ class TestAssembly:
     def test_single_spring_assembly(self):
         params, forcing = default_pair(n_springs=1)
         system = assemble(params, forcing, MassVariant.CONSISTENT)
-        assert system.stiffness.diag.shape == (1,)
-        assert system.stiffness.off.shape == (0,)
-        assert system.mass.diag[0] == pytest.approx(params.h / 3.0, rel=1e-15)
+        stiff_diag, stiff_off = system.stiffness
+        assert stiff_diag.shape == (1,)
+        assert stiff_off.shape == (0,)
+        assert system.mass[0][0] == pytest.approx(params.h / 3.0, rel=1e-15)
 
 
 class TestHarmonicState:
@@ -213,8 +206,9 @@ class TestHarmonicState:
             system = assemble(params_for_k_omega(params, forcing, k_omega), forcing, variant)
             omega = forcing.omega
             ab = np.zeros((3, n), dtype=complex)
-            ab[1] = 1j * omega * system.mass.diag + system.stiffness.diag
-            ab[0, 1:] = ab[2, :-1] = 1j * omega * system.mass.off + system.stiffness.off
+            (mass_diag, mass_off), (stiff_diag, stiff_off) = system.mass, system.stiffness
+            ab[1] = 1j * omega * mass_diag + stiff_diag
+            ab[0, 1:] = ab[2, :-1] = 1j * omega * mass_off + stiff_off
             rhs = np.zeros(n, dtype=complex)
             rhs[0] = system.load_amplitude
             expected = solve_banded((1, 1), ab, rhs)
@@ -224,15 +218,16 @@ class TestHarmonicState:
     def test_non_finite_system_rejected(self, n):
         params, forcing = default_pair(n_springs=n)
         system = assemble(params, forcing, MassVariant.CONSISTENT)
-        bad_diag = system.stiffness.diag.copy()
+        diag, off = system.stiffness
+        bad_diag = diag.copy()
         bad_diag[-1] = math.nan
         bad_off = np.full(n - 1, math.inf)
         cases = [
-            dataclasses.replace(system, stiffness=SymTridiag(bad_diag, system.stiffness.off)),
+            dataclasses.replace(system, stiffness=(bad_diag, off)),
             dataclasses.replace(system, load_amplitude=complex(math.inf, 0.0)),
         ]
         if n > 1:
-            cases.append(dataclasses.replace(system, stiffness=SymTridiag(system.stiffness.diag, bad_off)))
+            cases.append(dataclasses.replace(system, stiffness=(diag, bad_off)))
         for case in cases:
             with pytest.raises(ValueError, match="infs or NaNs"):
                 harmonic_state(case)
@@ -243,8 +238,8 @@ class TestHarmonicState:
         system = assemble(params, forcing, MassVariant.NSPRING)
         singular = dataclasses.replace(
             system,
-            stiffness=SymTridiag(np.ones(2), np.ones(1)),
-            mass=SymTridiag(np.zeros(2), np.zeros(1)),
+            stiffness=(np.ones(2), np.ones(1)),
+            mass=(np.zeros(2), np.zeros(1)),
         )
         with pytest.raises(np.linalg.LinAlgError, match="zgtsv info=2"):
             harmonic_state(singular)
@@ -278,16 +273,18 @@ class TestCrankNicolson:
     def test_rejects_non_spd_system(self):
         params, forcing = default_pair(n_springs=4)
         system = assemble(params, forcing, MassVariant.NSPRING)
-        negative = dataclasses.replace(system, mass=SymTridiag(-system.mass.diag, system.mass.off))
+        diag, off = system.mass
+        negative = dataclasses.replace(system, mass=(-diag, off))
         with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
             CrankNicolson(negative, forcing.period / 64)
 
     def test_rejects_nonuniform_stencil(self):
         params, forcing = default_pair(n_springs=6)
         system = assemble(params, forcing, MassVariant.NSPRING)
-        diag = system.mass.diag.copy()
+        diag, off = system.mass
+        diag = diag.copy()
         diag[3] *= 1.5
-        bumped = dataclasses.replace(system, mass=SymTridiag(diag, system.mass.off))
+        bumped = dataclasses.replace(system, mass=(diag, off))
         with pytest.raises(ValueError, match="uniform"):
             CrankNicolson(bumped, forcing.period / 64)
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from springswim.model import (
     Forcing,
     SwimmerParams,
     config_from_mapping,
-    derive_groups,
+    k_omega_of,
     load_config,
     params_for_k_omega,
 )
@@ -97,24 +98,19 @@ class TestGroups:
         # k_tilde = 6.207e-8 at omega = 1 sits very close to the 0.37 range
         params, forcing = default_pair()
         retuned = dataclasses.replace(params, k_tilde=6.207e-8)
-        groups = derive_groups(retuned, forcing)
-        assert groups.k_omega == pytest.approx(0.36999053624396794, rel=1e-13)
+        assert k_omega_of(retuned, forcing) == pytest.approx(0.36999053624396794, rel=1e-13)
 
     def test_k_omega_scales_inversely_with_omega(self):
         params, forcing = default_pair()
         fast = dataclasses.replace(forcing, omega=10.0 * forcing.omega)
-        assert derive_groups(params, fast).k_omega == pytest.approx(
-            derive_groups(params, forcing).k_omega / 10.0, rel=1e-14
-        )
+        assert k_omega_of(params, fast) == pytest.approx(k_omega_of(params, forcing) / 10.0, rel=1e-14)
 
     def test_params_for_k_omega_round_trip(self):
         params, forcing = default_pair()
         rng = np.random.default_rng(5)
         for target in 10.0 ** rng.uniform(-3, 3, size=20):
             retuned = params_for_k_omega(params, forcing, float(target))
-            assert derive_groups(retuned, forcing).k_omega == pytest.approx(
-                float(target), rel=1e-12
-            )
+            assert k_omega_of(retuned, forcing) == pytest.approx(float(target), rel=1e-12)
 
     def test_params_for_k_omega_rejects_nonpositive(self):
         params, forcing = default_pair()
@@ -144,6 +140,13 @@ class TestConfig:
     def test_integral_float_n_accepted(self):
         params, _ = config_from_mapping({"n_springs": 40.0})
         assert params.n_springs == 40
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", None])
+    @pytest.mark.parametrize("key", sorted(DEFAULTS))
+    def test_non_numbers_rejected(self, key, value):
+        # JSON true/false are Python bools, an int subclass: they must not pass as 1 or 0
+        with pytest.raises(ValueError, match=rf"^{key} must be .*, got {re.escape(repr(value))}$"):
+            config_from_mapping({key: value})
 
     def test_fractional_n_rejected(self):
         with pytest.raises(ValueError, match="n_springs"):
