@@ -12,6 +12,7 @@ endings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -27,19 +28,101 @@ from .metrics import RateEstimate, convergence_study, fit_rate
 from .model import Forcing, SwimmerParams, config_from_mapping, load_config
 
 
-#: Values printed by one % operation; a few hundred Python floats are alive at a time.
-_SLICE = 256
-#: Its first 6k - 1 characters print k values: "%.17g,%.17g,...,%.17g".
-_FORMAT = "%.17g," * _SLICE
+def _split(x):
+    """Dekker split: x == big + small, each with at most 26 significant bits."""
+    c = 134217729.0 * x  # 2**27 + 1
+    big = c - (c - x)
+    return big, x - big
+
+
+@functools.cache
+def _format_tables():
+    """Tables of _format, built on first use, by e = floor(log10|x|) = -271..270 (|x| in
+    [1e-270, 1e270), one wider each side for log10 rounding; every product in _round17 is
+    then a normal double), by 4-digit group, and by layout and significant digits."""
+    exps = np.arange(-271, 271)
+    hi, lo = [], []
+    for e in exps.tolist():
+        num, den = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
+        hi.append(num / den)  # integer true division rounds correctly
+        h_num, h_den = hi[-1].as_integer_ratio()
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    hi, lo = np.array(hi), np.array(lo)
+    ascii4 = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T) + 48
+    exp_ascii = ascii4[np.abs(exps)]
+    exp_ascii[:, 0] = np.where(exps < 0, 45, 43)  # '-', '+'
+    layouts = np.where((exps >= -4) & (exps < 17), exps + 4, 21 + (np.abs(exps) >= 100))
+    # A value's 32 source bytes: 0-2 '000', 3-19 its 17 digits, 20 exponent sign, 21-23
+    # exponent digits, 24 '.', 25 its sign ('-' or NUL), 26 '0', 27 'e', 28 ',', 29-31 NUL.
+    # Layouts 0-20 are fixed point for exponents -4..16; 21 and 22 have 2 and 3 exponent digits.
+    gather = np.full((23, 17, 25), 29, np.intp)
+    gather[..., 24] = 28
+    for layout in range(23):
+        exp = layout - 4 if layout < 21 else 0
+        suffix = {21: [27, 20, 22, 23], 22: [27, 20, 21, 22, 23]}.get(layout, [])
+        for k in range(1, 18):  # significant digits
+            frac = [26] * (-exp - 1) + list(range(4 + max(exp, -1), 3 + k))
+            body = (list(range(3, 4 + exp)) or [26]) + ([24] + frac if frac else []) + suffix
+            gather[layout, k - 1, : len(body) + 1] = [25] + body
+    words = ascii4.view(np.uint32).ravel(), exp_ascii.view(np.uint32).ravel()
+    return hi, lo, *_split(hi), *words, layouts * 17 - 1, gather.reshape(-1, 25)
+
+
+def _round17(a, e):
+    """q = round(y) for y = a * 10**(16 - e), e as table index, and where q is certified.
+
+    y is formed in double-double arithmetic to about 1e-14, so q = floor(y) + (frac(y) > 1/2)
+    is exact when floor(y) is in [1e16, 1e17), q < 1e17 and |frac(y) - 1/2| > 1e-9.
+    """
+    hi, lo, big, small = _format_tables()[:4]
+    p = a * hi[e]
+    a_big, a_small = _split(a)
+    big, small = big[e], small[e]
+    low = (((a_big * big - p) + a_big * small + a_small * big) + a_small * small) + a * lo[e]
+    y_hi = p + low
+    y_lo = low - (y_hi - p)  # y_hi + y_lo == p + low exactly; y_hi is an integer when certified
+    floor_lo = np.floor(y_lo)
+    whole = y_hi.astype(np.int64) + floor_lo.astype(np.int64)
+    frac = y_lo - floor_lo
+    q = whole + (frac > 0.5)
+    return q, (np.abs(frac - 0.5) > 1e-9) & (whole >= 10**16) & (q < 10**17)
 
 
 def _format(row: np.ndarray) -> str:
-    """Comma-joined %.17g of a float row, one % operation per slice of _SLICE values."""
-    pieces = []
-    for start in range(0, len(row), _SLICE):
-        part = row[start : start + _SLICE].tolist()
-        pieces.append(_FORMAT[: 6 * len(part) - 1] % tuple(part))
-    return ",".join(pieces)
+    """Comma-joined '%.17g' of a float row, byte for byte.
+
+    The 17 digits of |x| are q = round(|x| * 10**(16 - e)) for e = floor(log10|x|), used
+    when _round17 certifies them. Any other value (0, -0, inf, nan, |x| outside [1e-270,
+    1e270), near-ties, a wrong e) is printed by Python's '%.17g' in its own slot.
+    """
+    words, exp_words, first_row, gather = _format_tables()[4:]
+    x = np.asarray(row, dtype=float)
+    n = len(x)
+    a = np.abs(x)
+    bad = ~((a >= 1e-270) & (a < 1e270))
+    a[bad] = 1.0  # log10 and the int64 casts see only positive finite values
+    e = np.floor(np.log10(a)).astype(np.intp) + 271  # table index
+    q, certified = _round17(a, e)
+    bad |= ~certified
+    q[bad] = 10**16  # keeps the digit groups of the values printed by Python in range
+    groups = np.empty((n, 5), np.intp)
+    for j in range(4, 0, -1):
+        q, groups[:, j] = np.divmod(q, 10**4)
+    groups[:, 0] = q
+    src = np.empty((n, 8), np.uint32)
+    src[:, :5] = words.take(groups)
+    src[:, 5] = exp_words.take(e)
+    src[:, 6:] = np.frombuffer(b".-0e,\0\0\0", np.uint32)
+    src.view(np.uint8)[:, 25] *= x < 0
+    k = 17 - np.argmax(src.view(np.uint8)[:, 19:2:-1] != 48, axis=1)  # significant digits
+    index = gather.take(first_row.take(e) + k, axis=0)
+    index += np.arange(0, 32 * n, 32)[:, None]
+    out = src.view(np.uint8).ravel().take(index)
+    del index
+    bad = np.flatnonzero(bad)
+    out[bad, :24] = np.array(["%.17g" % v for v in x[bad].tolist()], "S24").view(np.uint8).reshape(-1, 24)
+    out[-1:, 24] = 0  # no comma after the last value
+    return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _write_csv(path: Path, header: str, table: np.ndarray) -> None:
@@ -128,12 +211,9 @@ def _rate_payload(estimate: RateEstimate) -> dict:
 def cmd_converge(args) -> list[Path]:
     params, forcing = _load(args)
     out = _out_dir(args)
-    n_list = [int(piece) for piece in args.n_list.split(",")]
-    if len(n_list) < 3:
-        raise ValueError("n-list needs at least 3 entries for a rate fit")
     variant = MassVariant(args.scheme)
     records = convergence_study(
-        params, forcing, variant, n_list, steps_per_period=args.steps_per_period
+        params, forcing, variant, args.n_list, steps_per_period=args.steps_per_period
     )
     csv_path = out / f"convergence_{args.scheme}.csv"
     _write_csv(
@@ -146,7 +226,7 @@ def cmd_converge(args) -> list[Path]:
         json_path,
         {
             "scheme": args.scheme,
-            "n": n_list,
+            "n": args.n_list,
             "steps_per_period": args.steps_per_period if variant is not MassVariant.NSPRING else None,
             "l2": _rate_payload(fit_rate(records, "l2")),
             "h1": _rate_payload(fit_rate(records, "h1")),
@@ -245,6 +325,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def grid_sizes(text: str) -> list[int]:
+    values = [positive_int(piece) for piece in text.split(",")]
+    if len(values) < 3 or len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"a rate fit needs at least 3 distinct sizes, got {text}")
+    return values
+
+
 def positive_float(text: str) -> float:
     value = float(text)
     if not 0 < value < math.inf:
@@ -281,7 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", parents=[common], help="error table and fitted slopes")
     p.add_argument("--scheme", choices=["nspring", "lumped", "galerkin"], default="nspring")
-    p.add_argument("--n-list", default="25,50,100,200,400,800", help="comma-separated grid sizes")
+    p.add_argument(
+        "--n-list", type=grid_sizes, default="25,50,100,200,400,800", help="comma-separated grid sizes"
+    )
     p.add_argument("--steps-per-period", type=positive_int, default=16384)
     p.set_defaults(func=cmd_converge)
 

@@ -25,6 +25,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -52,8 +53,9 @@ class UniformGrid:
     length: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if isinstance(self.n, bool) or not (isinstance(self.n, numbers.Integral) and self.n >= 1):
             raise ValueError(f"grid needs at least one element, got n={self.n!r}")
+        object.__setattr__(self, "n", int(self.n))  # a numpy integer is stored as int
         if not self.spacing > 0:
             raise ValueError(f"spacing must be positive, got {self.spacing!r}")
         if abs(self.n * self.spacing - self.length) > 1e-9 * self.length:

@@ -137,7 +137,7 @@ def convergence_study(
     mode = build_continuous_mode(params, forcing)
     records = []
     for n in n_list:
-        system = assemble(dc_replace(params, n_springs=int(n)), forcing, variant)
+        system = assemble(dc_replace(params, n_springs=n), forcing, variant)
         state = ElongationField(system.grid, np.append(harmonic_state(system).real, 0.0))
         if variant is not MassVariant.NSPRING:
             dt = forcing.period / steps_per_period

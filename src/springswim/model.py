@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,8 +63,9 @@ class SwimmerParams:
             if not (number and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         n = self.n_springs
-        if isinstance(n, bool) or not (isinstance(n, int) and n >= 1):
+        if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
             raise ValueError(f"n_springs must be an integer >= 1, got {n!r}")
+        object.__setattr__(self, "n_springs", int(n))  # a numpy integer is stored as int
 
     @property
     def h(self) -> float:

@@ -7,8 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from springswim.cli import _write_csv, main
+from springswim.cli import _format, _write_csv, main
 
 
 def run(argv):
@@ -129,8 +131,10 @@ class TestConverge:
         assert payload["steps_per_period"] == 4096
 
     def test_short_n_list_rejected(self, tmp_path, capsys):
-        assert run(["converge", "--out", tmp_path, "--n-list", "25,50"]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        with pytest.raises(SystemExit) as excinfo:
+            run(["converge", "--out", tmp_path, "--n-list", "25,50"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("error: argument --n-list: ")
 
 
 class TestSweep:
@@ -198,9 +202,8 @@ class TestSweep:
         # 17 significant digits reproduce the binary doubles exactly
         for row, exact in zip(rows, payload["displacements"]):
             assert float(row[1]) == exact
-        # every number in the header and first row of every CSV is printed with %.17g;
-        # 300 springs make rows longer than one formatting slice
-        config = write_config(tmp_path, n_springs=300)
+        # every number in the header and first row of every CSV is printed with %.17g
+        config = write_config(tmp_path, n_springs=40)
         for i, command in enumerate(
             [
                 ["simulate", "--samples", "8"],
@@ -227,16 +230,58 @@ SPECIAL_VALUES = [
 ]
 
 
+def percent_join(row):
+    return ",".join("%.17g" % v for v in np.asarray(row, dtype=float).tolist())
+
+
+def assert_formats_like_percent(row):
+    assert _format(np.asarray(row, dtype=float)).split(",") == percent_join(row).split(",")
+
+
 class TestCsvWriter:
-    @pytest.mark.parametrize("width", [len(SPECIAL_VALUES), 256, 257, 600])
+    @pytest.mark.parametrize("width", [len(SPECIAL_VALUES), 600])
     def test_line_is_percent_17g_join(self, tmp_path, width):
         rng = np.random.default_rng(width)
         table = rng.standard_normal((3, width)) * 10.0 ** rng.integers(-300, 300, (3, width))
         table[0] = np.resize(SPECIAL_VALUES, width)
         path = tmp_path / "table.csv"
         _write_csv(path, "header", table)
-        expected = ["header"] + [",".join("%.17g" % v for v in row) for row in table.tolist()] + [""]
+        expected = ["header"] + [percent_join(row) for row in table] + [""]
         assert path.read_text().split("\n") == expected
+
+    def test_powers_of_ten_and_neighbours(self):
+        # every power of ten a double reaches, with its 1 and 2 ulp neighbours, both signs
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        values = (powers.view(np.int64)[:, None] + np.arange(-2, 3)).ravel().view(np.float64)
+        assert_formats_like_percent(np.concatenate([values, -values]))
+
+    def test_exact_ties_and_wide_integers(self):
+        rng = np.random.default_rng(17)
+        # odd N/1024, N in [1e10, 1e11), ends in a 5 at the 10th decimal; from N = 1.024e10 on
+        # that is the 18th significant digit, so rounding to 17 is an exact tie
+        ties = (2 * rng.integers(5 * 10**9, 5 * 10**10, 20000) + 1) / 1024.0
+        # 53-bit mantissas times 2**3..2**5: integers around 1e17, where the digit count steps
+        wide = (rng.integers(2**52, 2**53, 20000)[:, None] * 2.0 ** np.arange(3, 6)).ravel()
+        assert_formats_like_percent(np.concatenate([ties, -ties, wide]))
+
+    def test_random_bit_patterns(self):
+        # includes NaN payloads, subnormals and infinities
+        bits = np.random.default_rng(2026).integers(0, 2**64, 200_000, dtype=np.uint64)
+        for row in bits.view(np.float64).reshape(100, 2000):
+            assert_formats_like_percent(row)
+
+    def test_double_nearest_one_millionth(self):
+        # log10 gives e = -6, but the 17 digits need e = -7: floor(y) < 1e16 although round(y) = 1e16
+        assert _format(np.array([4e-4 / 400])) == "9.9999999999999995e-07" == "%.17g" % (4e-4 / 400)
+
+    @pytest.mark.parametrize("row", [[], [0.1], [-2.5e-300], [0.0]])
+    def test_short_rows(self, row):
+        assert _format(np.array(row, dtype=float)) == percent_join(row)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=600))
+    def test_any_floats(self, xs):
+        assert _format(np.array(xs, dtype=float)) == percent_join(xs)
 
 
 class TestOptimize:
@@ -330,6 +375,9 @@ class TestErrorHandling:
             ["optimize", "--bracket", "-1", "1e2"],
             ["optimize", "--rel-tol", "0"],
             ["optimize", "--rel-tol", "nan"],
+            ["converge", "--n-list", "25,abc,50"],
+            ["converge", "--n-list", "25,25,50"],
+            ["converge", "--n-list", "0,25,50"],
         ]
         for i, case in enumerate(cases):
             with subtests.test(" ".join(case)):

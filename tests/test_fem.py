@@ -60,6 +60,12 @@ class TestGridAndField:
         with pytest.raises(ValueError, match="element"):
             UniformGrid(n=0, spacing=0.25, length=0.0)
 
+    def test_grid_size_is_an_int(self):
+        assert type(UniformGrid(n=np.int64(4), spacing=0.25, length=1.0).n) is int
+        for n in (True, np.bool_(True), 1.0):
+            with pytest.raises(ValueError, match="element"):
+                UniformGrid(n=n, spacing=1.0, length=1.0)
+
     def test_grid_for_params(self):
         params, forcing = default_pair(n_springs=16)
         grid = assemble(params, forcing, MassVariant.NSPRING).grid

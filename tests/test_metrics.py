@@ -289,6 +289,14 @@ class TestConvergenceStudy:
             )
             assert fit_rate(records, "l2").slope == pytest.approx(2.0, abs=0.15)
 
+    def test_numpy_n_list(self):
+        params, forcing = config_from_mapping({})
+        expected = convergence_study(params, forcing, MassVariant.NSPRING, [25, 50, 100])
+        for n_list in (25 * 2 ** np.arange(3), [np.int64(n) for n in (25, 50, 100)]):
+            records = convergence_study(params, forcing, MassVariant.NSPRING, n_list)
+            assert records == expected
+            assert all(type(record.n) is int for record in records)
+
     def test_empty_n_list_rejected(self):
         params, forcing = config_from_mapping({})
         with pytest.raises(ValueError, match="n_list"):

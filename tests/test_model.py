@@ -38,6 +38,18 @@ class TestSwimmerParams:
         doubled = dataclasses.replace(params, k_tilde=2.0 * params.k_tilde)
         assert doubled.relaxation_rate == pytest.approx(2.0 * params.relaxation_rate, rel=1e-14)
 
+    def test_numpy_integer_n_stored_as_int(self):
+        params, _ = default_pair()
+        for n in (np.int64(50), np.arange(48, 52)[2], np.uint16(50)):
+            replaced = dataclasses.replace(params, n_springs=n)
+            assert replaced.n_springs == 50 and type(replaced.n_springs) is int
+
+    @pytest.mark.parametrize("n", [True, np.bool_(True), 50.0, np.float64(50.0)])
+    def test_non_integer_n_rejected(self, n):
+        params, _ = default_pair()
+        with pytest.raises(ValueError, match="n_springs must be an integer >= 1"):
+            dataclasses.replace(params, n_springs=n)
+
     @pytest.mark.parametrize(
         "field,value",
         [
