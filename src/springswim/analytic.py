@@ -12,6 +12,7 @@ amplitude * exp(i omega t).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,10 @@ class DiscreteModeShape:
 
     def node_amplitudes(self) -> np.ndarray:
         """Complex amplitudes at nodes 1..n+1; the pinned end is exactly zero."""
+        return self._amplitudes.copy()
+
+    @functools.cached_property
+    def _amplitudes(self) -> np.ndarray:
         p = self.gamma_minus ** np.arange(self.n + 1)
         q = p[self.n] * p[self.n]
         return self.b_d * (p - p[self.n] * p[::-1]) / (1.0 - q)
@@ -52,7 +57,7 @@ class DiscreteModeShape:
         The pinned end is set to +0: the real part of its zero amplitude times a phase can be -0.
         """
         phase = np.exp(1j * self.omega * np.asarray(t, dtype=float))
-        values = np.real(phase[..., None] * self.node_amplitudes())
+        values = np.real(phase[..., None] * self._amplitudes)
         values[..., -1] = 0.0
         return values
 

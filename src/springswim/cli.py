@@ -12,6 +12,7 @@ endings.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -88,48 +89,70 @@ def _round17(a, e):
     return q, (np.abs(frac - 0.5) > 1e-9) & (whole >= 10**16) & (q < 10**17)
 
 
-def _format(row: np.ndarray) -> str:
-    """Comma-joined '%.17g' of a float row, byte for byte.
+_SLICE = 2048  # values per formatting pass; a pass holds about 330 bytes of temporaries a value
+_BLOCK = 32768  # values per block of rows that simulate and analytic compute and write at once
 
-    The 17 digits of |x| are q = round(|x| * 10**(16 - e)) for e = floor(log10|x|), used
-    when _round17 certifies them. Any other value (0, -0, inf, nan, |x| outside [1e-270,
-    1e270), near-ties, a wrong e) is printed by Python's '%.17g' in its own slot.
+
+def _format(block: np.ndarray):
+    """Yield the ASCII '%.17g' text of a 2-D float block, _SLICE values at a time, byte for byte.
+
+    Values in a row are separated by ',' and each row ends in '\n'. The 17 digits of |x| are
+    q = round(|x| * 10**(16 - e)) for e = floor(log10|x|), used when _round17 certifies them.
+    Any other value (0, -0, inf, nan, |x| outside [1e-270, 1e270), near-ties, a wrong e) is
+    printed by Python's '%.17g' in its own slot.
     """
     words, exp_words, first_row, gather = _format_tables()[4:]
-    x = np.asarray(row, dtype=float)
-    n = len(x)
-    a = np.abs(x)
-    bad = ~((a >= 1e-270) & (a < 1e270))
-    a[bad] = 1.0  # log10 and the int64 casts see only positive finite values
-    e = np.floor(np.log10(a)).astype(np.intp) + 271  # table index
-    q, certified = _round17(a, e)
-    bad |= ~certified
-    q[bad] = 10**16  # keeps the digit groups of the values printed by Python in range
-    groups = np.empty((n, 5), np.intp)
-    for j in range(4, 0, -1):
-        q, groups[:, j] = np.divmod(q, 10**4)
-    groups[:, 0] = q
-    src = np.empty((n, 8), np.uint32)
-    src[:, :5] = words.take(groups)
-    src[:, 5] = exp_words.take(e)
-    src[:, 6:] = np.frombuffer(b".-0e,\0\0\0", np.uint32)
-    src.view(np.uint8)[:, 25] *= x < 0
-    k = 17 - np.argmax(src.view(np.uint8)[:, 19:2:-1] != 48, axis=1)  # significant digits
-    index = gather.take(first_row.take(e) + k, axis=0)
-    index += np.arange(0, 32 * n, 32)[:, None]
-    out = src.view(np.uint8).ravel().take(index)
-    del index
-    bad = np.flatnonzero(bad)
-    out[bad, :24] = np.array(["%.17g" % v for v in x[bad].tolist()], "S24").view(np.uint8).reshape(-1, 24)
-    out[-1:, 24] = 0  # no comma after the last value
-    return out.tobytes().translate(None, b"\0").decode("ascii")
+    rows, width = np.shape(block)
+    if width == 0:
+        yield b"\n" * rows
+    flat = np.asarray(block, dtype=float).ravel()
+    for start in range(0, flat.size, _SLICE):
+        x = flat[start : start + _SLICE]
+        n = len(x)
+        a = np.abs(x)
+        bad = ~((a >= 1e-270) & (a < 1e270))
+        a[bad] = 1.0  # log10 and the int64 casts see only positive finite values
+        e = np.floor(np.log10(a)).astype(np.intp) + 271  # table index
+        q, certified = _round17(a, e)
+        bad |= ~certified
+        q[bad] = 10**16  # keeps the digit groups of the values printed by Python in range
+        groups = np.empty((n, 5), np.intp)
+        for j in range(4, 0, -1):
+            q, groups[:, j] = np.divmod(q, 10**4)
+        groups[:, 0] = q
+        src = np.empty((n, 8), np.uint32)
+        src[:, :5] = words.take(groups)
+        src[:, 5] = exp_words.take(e)
+        src[:, 6:] = np.frombuffer(b".-0e,\0\0\0", np.uint32)
+        src.view(np.uint8)[:, 25] *= x < 0
+        src.view(np.uint8)[(width - 1 - start) % width :: width, 28] = 10  # '\n' ends a row
+        k = 17 - np.argmax(src.view(np.uint8)[:, 19:2:-1] != 48, axis=1)  # significant digits
+        index = gather.take(first_row.take(e) + k, axis=0)
+        index += np.arange(0, 32 * n, 32)[:, None]
+        out = src.view(np.uint8).ravel().take(index)
+        del index
+        bad = np.flatnonzero(bad)
+        out[bad, :24] = np.array(["%.17g" % v for v in x[bad].tolist()], "S24").view(np.uint8).reshape(-1, 24)
+        yield out.tobytes().translate(None, b"\0")
 
 
-def _write_csv(path: Path, header: str, table: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in table:
-            fh.write(_format(row) + "\n")
+def _write_csv(headers: dict[Path, bytes], blocks) -> None:
+    """Write each path's header line, then its rows: each item of blocks has one 2-D block per path.
+
+    If anything fails on the way, every file is removed, so no half-written table is left.
+    """
+    try:
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(open(path, "wb")) for path in headers]
+            for fh, header in zip(files, headers.values()):
+                fh.write(header)
+            for tables in blocks:
+                for fh, table in zip(files, tables):
+                    fh.writelines(_format(table))
+    except BaseException:
+        for path in headers:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -150,20 +173,33 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _positions(params: SwimmerParams, forcing: Forcing, times: np.ndarray, ell: np.ndarray) -> np.ndarray:
-    """Sphere positions per sample row; the head starts at the origin.
+def _row_blocks(rows: np.ndarray, width: int):
+    """Consecutive row slices of rows, each about _BLOCK values of a table whose rows hold width values."""
+    step = max(1, _BLOCK // width)
+    return (rows[start : start + step] for start in range(0, len(rows), step))
 
-    The head position integrates its velocity with the trapezoid rule on
-    the sample grid; every other sphere hangs off the head by the active
-    arm plus the cumulative spring lengths.
+
+def _simulation_blocks(params: SwimmerParams, forcing: Forcing, blocks):
+    """(elongations, positions) table blocks from (times, node elongations) blocks in time order.
+
+    The head starts at the origin and integrates its velocity with the trapezoid rule on the
+    sample grid, as one sequential sum carried from block to block; every other sphere hangs
+    off the head by the active arm plus the cumulative spring lengths.
     """
     n = params.n_springs
-    v1 = instantaneous_v1(params, forcing, ell, times)
-    x1 = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(times) * (v1[:-1] + v1[1:]))])
-    arm = np.asarray(forcing.arm_length(times))
-    lengths = ell[:, :n] / n + params.h
-    tail = x1[:, None] - arm[:, None] - np.cumsum(lengths, axis=1)
-    return np.column_stack([x1, x1 - arm, tail])
+    carry = None
+    for t, ell in blocks:
+        v1 = instantaneous_v1(params, forcing, ell, t)
+        if carry is None:  # the sum starts at the first term, exactly as over the whole table
+            x1 = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(t) * (v1[:-1] + v1[1:]))])
+        else:
+            t_prev, v_prev, x_prev = carry
+            terms = 0.5 * np.diff(np.concatenate([[t_prev], t])) * (np.concatenate([[v_prev], v1[:-1]]) + v1)
+            x1 = np.cumsum(np.concatenate([[x_prev], terms]))[1:]
+        carry = t[-1], v1[-1], x1[-1]
+        arm = np.asarray(forcing.arm_length(t))
+        tail = x1[:, None] - arm[:, None] - np.cumsum(ell[:, :n] / n + params.h, axis=1)
+        yield np.column_stack([t, ell]), np.column_stack([t, x1, x1 - arm, tail])
 
 
 def cmd_simulate(args) -> list[Path]:
@@ -173,7 +209,8 @@ def cmd_simulate(args) -> list[Path]:
 
     if args.scheme == "analytic":
         times = np.linspace(0.0, t_end, args.samples + 1)
-        ell = build_discrete_mode(params, forcing).node_values(times)
+        mode = build_discrete_mode(params, forcing)
+        blocks = ((t, mode.node_values(t)) for t in _row_blocks(times, params.n_springs + 3))
     else:
         system = assemble(params, forcing, MassVariant(args.scheme))
         dt = t_end / 1024 if args.dt is None else args.dt
@@ -185,14 +222,14 @@ def cmd_simulate(args) -> list[Path]:
                 f"samples={args.samples} must divide the {nsteps} time steps; adjust --samples or --dt"
             )
         trajectory = solve_transient(system, None, t_end, dt, sample_every=nsteps // args.samples)
-        times = trajectory.times
-        ell = trajectory.values
+        width = params.n_springs + 3
+        blocks = zip(_row_blocks(trajectory.times, width), _row_blocks(trajectory.values, width))
 
     nodes = np.arange(params.n_springs + 1) * params.h
     elong_path, pos_path = out / "elongations.csv", out / "positions.csv"
-    _write_csv(elong_path, "t," + _format(nodes), np.column_stack([times, ell]))
-    positions = np.column_stack([times, _positions(params, forcing, times, ell)])
-    _write_csv(pos_path, ",".join(["t"] + [f"x{j}" for j in range(1, params.n_springs + 3)]), positions)
+    pos_header = ",".join(["t"] + [f"x{j}" for j in range(1, params.n_springs + 3)]) + "\n"
+    headers = {elong_path: b"t," + b"".join(_format(nodes[None])), pos_path: pos_header.encode()}
+    _write_csv(headers, _simulation_blocks(params, forcing, blocks))
     return [elong_path, pos_path]
 
 
@@ -216,11 +253,8 @@ def cmd_converge(args) -> list[Path]:
         params, forcing, variant, args.n_list, steps_per_period=args.steps_per_period
     )
     csv_path = out / f"convergence_{args.scheme}.csv"
-    _write_csv(
-        csv_path,
-        "n,h,l2_error,h1_error",
-        np.array([[r.n, params.Lambda / r.n, r.l2_error, r.h1_error] for r in records]),
-    )
+    table = np.array([[r.n, params.Lambda / r.n, r.l2_error, r.h1_error] for r in records])
+    _write_csv({csv_path: b"n,h,l2_error,h1_error\n"}, [(table,)])
     json_path = out / f"convergence_{args.scheme}.json"
     _write_json(
         json_path,
@@ -248,7 +282,7 @@ def cmd_sweep(args) -> list[Path]:
     displacements = table.displacements()
 
     csv_path = out / f"sweep_{args.axis}.csv"
-    _write_csv(csv_path, "parameter,displacement_m", np.column_stack([table.values, displacements]))
+    _write_csv({csv_path: b"parameter,displacement_m\n"}, [(np.column_stack([table.values, displacements]),)])
 
     payload = {
         "axis": table.axis,
@@ -306,10 +340,10 @@ def cmd_analytic(args) -> list[Path]:
     out = _out_dir(args)
     mode = build_discrete_mode(params, forcing)
     times = np.linspace(0.0, forcing.period, args.samples + 1)
-    ell = mode.node_values(times)
     nodes = np.arange(params.n_springs + 1) * params.h
     csv_path, json_path = out / "analytic.csv", out / "analytic.json"
-    _write_csv(csv_path, "t," + _format(nodes), np.column_stack([times, ell]))
+    blocks = ((np.column_stack([t, mode.node_values(t)]),) for t in _row_blocks(times, params.n_springs + 2))
+    _write_csv({csv_path: b"t," + b"".join(_format(nodes[None]))}, blocks)
     payload = {"n": mode.n, "k_omega": mode.k_omega, "omega": mode.omega}
     for name in ("gamma_plus", "gamma_minus", "delta", "z_d", "b_d", "alpha_d", "beta_d"):
         z = getattr(mode, name)  # complex constants go to JSON as [real, imag]
@@ -397,6 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.func is cmd_simulate and args.scheme == "analytic" and args.dt is not None:
+        parser.error("argument --dt: only the stepped schemes take a time step, not --scheme analytic")
     try:
         written = args.func(args)
     except Exception as exc:  # single-line diagnostics, nonzero exit

@@ -273,11 +273,11 @@ def solve_transient(
         raise ValueError(f"sample_every={sample_every!r} must divide the {nsteps} steps")
 
     stepper = CrankNicolson(system, dt)
-    times = [0.0]
-    rows = [np.concatenate([state, [0.0]])]
+    values = np.zeros((nsteps // sample_every + 1, n + 1))  # the pinned far end stays zero
+    values[0, :n] = state
     for k in range(nsteps):
         state = stepper.step(state, k * dt)
         if (k + 1) % sample_every == 0:
-            times.append((k + 1) * dt)
-            rows.append(np.concatenate([state, [0.0]]))
-    return Trajectory(grid=system.grid, times=np.array(times), values=np.array(rows))
+            values[(k + 1) // sample_every, :n] = state
+    times = np.arange(0, nsteps + 1, sample_every) * dt
+    return Trajectory(grid=system.grid, times=times, values=values)

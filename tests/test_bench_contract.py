@@ -35,3 +35,23 @@ def test_design_sweep_smoke_run():
     assert metrics["displacement.stroke_displacement_discrete.calls"] == (
         metrics["displacement.sweep.points"] + metrics["displacement.optimize_k_omega.objective_evals"]
     )
+
+
+def test_cli_artifacts_smoke_run():
+    # the benchmark reads every CSV the CLI writes and checks it against the library
+    # (%.17g header and first row, values within tolerance); a writer change that
+    # breaks those checks fails here before it fails the benchmark
+    result = subprocess.run(
+        [
+            sys.executable, "bench/run.py", "--workload", "cli_artifacts", "--seed", "1",
+            "--seconds", "1", "--trace", "1", "--smoke",
+        ],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(result.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True
+    assert summary["failed"] == 0

@@ -4,13 +4,20 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from springswim.cli import _format, _write_csv, main
+from springswim import cli
+from springswim.analytic import build_discrete_mode
+from springswim.cli import _BLOCK, _SLICE, _format, _write_csv, main
+from springswim.displacement import instantaneous_v1
+from springswim.fem import MassVariant, assemble, solve_transient
+from springswim.model import load_config
 
 
 def run(argv):
@@ -95,6 +102,86 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "\n" not in err.rstrip("\n")
+
+
+def reference_tables(params, forcing, times, ell):
+    """The simulate tables built the way a whole-table writer builds them: one cumsum over all rows."""
+    n = params.n_springs
+    v1 = instantaneous_v1(params, forcing, ell, times)
+    x1 = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(times) * (v1[:-1] + v1[1:]))])
+    arm = np.asarray(forcing.arm_length(times))
+    tail = x1[:, None] - arm[:, None] - np.cumsum(ell[:, :n] / n + params.h, axis=1)
+    return np.column_stack([times, ell]), np.column_stack([times, x1, x1 - arm, tail])
+
+
+def time_node_header(params):
+    return "t," + percent_join(np.arange(params.n_springs + 1) * params.h) + "\n"
+
+
+class TestStreamedTables:
+    N = 1000  # 32 rows of n + 3 values per block: 201 and 129 rows end in a short block
+
+    @pytest.mark.parametrize("scheme", ["analytic", "nspring", "lumped"])
+    def test_simulate_matches_whole_table_reference(self, tmp_path, scheme):
+        samples = 200 if scheme == "analytic" else 128
+        assert samples + 1 > _BLOCK // (self.N + 3) and (samples + 1) % (_BLOCK // (self.N + 3)) != 0
+        config = write_config(tmp_path, n_springs=self.N, eps_tilde=0.7)
+        argv = ["simulate", "--scheme", scheme, "--samples", samples, "--config", config, "--out", tmp_path]
+        assert run(argv) == 0
+        params, forcing = load_config(config)
+        if scheme == "analytic":
+            times = np.linspace(0.0, forcing.period, samples + 1)
+            ell = build_discrete_mode(params, forcing).node_values(times)
+        else:
+            system = assemble(params, forcing, MassVariant(scheme))
+            trajectory = solve_transient(system, None, forcing.period, forcing.period / 1024, 1024 // samples)
+            times, ell = trajectory.times, trajectory.values
+        elongations, positions = reference_tables(params, forcing, times, ell)
+        position_header = ",".join(["t"] + [f"x{j}" for j in range(1, self.N + 3)]) + "\n"
+        assert (tmp_path / "elongations.csv").read_text() == time_node_header(params) + percent_lines(elongations)
+        assert (tmp_path / "positions.csv").read_text() == position_header + percent_lines(positions)
+
+    def test_analytic_matches_whole_table_reference(self, tmp_path):
+        config = write_config(tmp_path, n_springs=self.N, k_tilde=1e-7)
+        assert run(["analytic", "--config", config, "--out", tmp_path]) == 0
+        params, forcing = load_config(config)
+        times = np.linspace(0.0, forcing.period, 201)
+        table = np.column_stack([times, build_discrete_mode(params, forcing).node_values(times)])
+        assert (tmp_path / "analytic.csv").read_text() == time_node_header(params) + percent_lines(table)
+
+    @pytest.mark.parametrize(
+        "command, tables",
+        [(["simulate"], 0.5), (["analytic"], 0.5), (["simulate", "--scheme", "lumped"], 1.5)],
+    )
+    def test_peak_memory_is_blocks_not_tables(self, tmp_path, command, tables):
+        # a whole-table writer holds about five (samples + 1) x (n + 1) float tables at its peak;
+        # the streamed one holds a block of rows, plus the trajectory of a stepped scheme
+        n, samples = 20000, 64
+        config = write_config(tmp_path, n_springs=n)
+        tracemalloc.start()
+        try:
+            assert run([*command, "--samples", samples, "--config", config, "--out", tmp_path]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tables * (samples + 1) * (n + 1) * 8
+
+    def test_failure_mid_stream_leaves_no_csv(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        sizes = []
+
+        def fail_on_second_block(params, forcing, state, t):
+            sizes.append((out / "elongations.csv").stat().st_size)
+            if len(sizes) == 2:
+                raise ValueError("unphysical state: non-positive cumulative arm length")
+            return instantaneous_v1(params, forcing, state, t)
+
+        monkeypatch.setattr(cli, "instantaneous_v1", fail_on_second_block)
+        config = write_config(tmp_path, n_springs=self.N)
+        assert run(["simulate", "--config", config, "--out", out]) == 1
+        assert sizes[0] > 0 and sizes[1] > sizes[0]  # the first block was written when the second failed
+        assert capsys.readouterr().err == "error: unphysical state: non-positive cumulative arm length\n"
+        assert list(out.iterdir()) == []
 
 
 class TestConverge:
@@ -234,8 +321,28 @@ def percent_join(row):
     return ",".join("%.17g" % v for v in np.asarray(row, dtype=float).tolist())
 
 
-def assert_formats_like_percent(row):
-    assert _format(np.asarray(row, dtype=float)).split(",") == percent_join(row).split(",")
+def percent_lines(table):
+    return "".join(percent_join(row) + "\n" for row in table)
+
+
+def format_text(block):
+    return b"".join(_format(np.asarray(block, dtype=float))).decode("ascii")
+
+
+def assert_formats_like_percent(values, widths=(None,)):
+    """The formatter prints values as '%.17g' in blocks of every given row width (None: one row).
+
+    When a width does not divide the value count, the remainder is checked as a one-row block.
+    """
+    values = np.asarray(values, dtype=float)
+    tokens = ["%.17g" % v for v in values.tolist()]
+    for width in widths:
+        width = width or len(values)
+        full = len(values) - len(values) % width
+        lines = [",".join(tokens[i : i + width]) for i in range(0, full, width)]
+        assert format_text(values[:full].reshape(-1, width)).split("\n") == lines + [""], width
+        if full < len(values):
+            assert format_text(values[full:][None]) == ",".join(tokens[full:]) + "\n", width
 
 
 class TestCsvWriter:
@@ -245,15 +352,23 @@ class TestCsvWriter:
         table = rng.standard_normal((3, width)) * 10.0 ** rng.integers(-300, 300, (3, width))
         table[0] = np.resize(SPECIAL_VALUES, width)
         path = tmp_path / "table.csv"
-        _write_csv(path, "header", table)
+        _write_csv({path: b"header\n"}, [(table,)])
         expected = ["header"] + [percent_join(row) for row in table] + [""]
         assert path.read_text().split("\n") == expected
+
+    def test_short_row_table_in_one_call(self, tmp_path):
+        # a 10000 x 2 table (sweep --points 10000) goes through one formatter call, not one per row
+        rng = np.random.default_rng(10000)
+        table = np.column_stack([np.logspace(-3, 3, 10000), -rng.random(10000) * 1e-7])
+        path = tmp_path / "sweep.csv"
+        _write_csv({path: b"parameter,displacement_m\n"}, [(table,)])
+        assert path.read_text().split("\n") == ["parameter,displacement_m"] + percent_lines(table).split("\n")
 
     def test_powers_of_ten_and_neighbours(self):
         # every power of ten a double reaches, with its 1 and 2 ulp neighbours, both signs
         powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
         values = (powers.view(np.int64)[:, None] + np.arange(-2, 3)).ravel().view(np.float64)
-        assert_formats_like_percent(np.concatenate([values, -values]))
+        assert_formats_like_percent(np.concatenate([values, -values]), (None, 1, 7, 2001, _SLICE + 1))
 
     def test_exact_ties_and_wide_integers(self):
         rng = np.random.default_rng(17)
@@ -262,26 +377,49 @@ class TestCsvWriter:
         ties = (2 * rng.integers(5 * 10**9, 5 * 10**10, 20000) + 1) / 1024.0
         # 53-bit mantissas times 2**3..2**5: integers around 1e17, where the digit count steps
         wide = (rng.integers(2**52, 2**53, 20000)[:, None] * 2.0 ** np.arange(3, 6)).ravel()
-        assert_formats_like_percent(np.concatenate([ties, -ties, wide]))
+        assert_formats_like_percent(np.concatenate([ties, -ties, wide]), (None, 1, 7, 2001, _SLICE + 1))
 
     def test_random_bit_patterns(self):
         # includes NaN payloads, subnormals and infinities
         bits = np.random.default_rng(2026).integers(0, 2**64, 200_000, dtype=np.uint64)
-        for row in bits.view(np.float64).reshape(100, 2000):
-            assert_formats_like_percent(row)
+        assert_formats_like_percent(bits.view(np.float64), (2000, 1, 7, 2001, _SLICE + 1))
 
     def test_double_nearest_one_millionth(self):
         # log10 gives e = -6, but the 17 digits need e = -7: floor(y) < 1e16 although round(y) = 1e16
-        assert _format(np.array([4e-4 / 400])) == "9.9999999999999995e-07" == "%.17g" % (4e-4 / 400)
+        assert format_text([[4e-4 / 400]]) == "9.9999999999999995e-07\n" == "%.17g\n" % (4e-4 / 400)
 
     @pytest.mark.parametrize("row", [[], [0.1], [-2.5e-300], [0.0]])
     def test_short_rows(self, row):
-        assert _format(np.array(row, dtype=float)) == percent_join(row)
+        assert format_text(np.array(row, dtype=float)[None]) == percent_join(row) + "\n"
+
+    def test_empty_and_single_column_blocks(self):
+        assert format_text(np.empty((0, 5))) == ""
+        assert format_text(np.empty((0, 0))) == ""
+        column = np.array(SPECIAL_VALUES)[:, None]
+        assert format_text(column) == percent_lines(column)
+
+    @pytest.mark.parametrize("offset", [0, -1, 1])
+    def test_slice_boundary_near_row_end(self, offset):
+        # the first formatting slice ends at a row end, one value before it or one after it
+        width = _SLICE - offset
+        values = np.random.default_rng(width).standard_normal(3 * width) * 1e5
+        assert_formats_like_percent(values, (width,))
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=600))
     def test_any_floats(self, xs):
-        assert _format(np.array(xs, dtype=float)) == percent_join(xs)
+        assert format_text(np.array(xs, dtype=float)[None]) == percent_join(xs) + "\n"
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(0, 5), st.integers(1, 1500)),
+            elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        )
+    )
+    def test_any_blocks(self, block):
+        assert format_text(block) == percent_lines(block)
 
 
 class TestOptimize:
@@ -369,6 +507,8 @@ class TestErrorHandling:
             ["simulate", "--scheme", "lumped", "--dt", "nan"],
             ["simulate", "--scheme", "lumped", "--dt", "inf"],
             ["simulate", "--t-end", "0"],
+            ["simulate", "--dt", "1e-3"],
+            ["simulate", "--scheme", "analytic", "--dt", "1e-3"],
             ["converge", "--steps-per-period", "0"],
             ["optimize", "--bracket", "1e-2", "inf"],
             ["optimize", "--bracket", "0", "1e2"],
