@@ -248,10 +248,8 @@ def _rate_payload(estimate: RateEstimate) -> dict:
 def cmd_converge(args) -> list[Path]:
     params, forcing = _load(args)
     out = _out_dir(args)
-    variant = MassVariant(args.scheme)
-    records = convergence_study(
-        params, forcing, variant, args.n_list, steps_per_period=args.steps_per_period
-    )
+    steps = args.steps_per_period or 16384  # flag not given: the stepped schemes' default
+    records = convergence_study(params, forcing, MassVariant(args.scheme), args.n_list, steps_per_period=steps)
     csv_path = out / f"convergence_{args.scheme}.csv"
     table = np.array([[r.n, params.Lambda / r.n, r.l2_error, r.h1_error] for r in records])
     _write_csv({csv_path: b"n,h,l2_error,h1_error\n"}, [(table,)])
@@ -261,7 +259,7 @@ def cmd_converge(args) -> list[Path]:
         {
             "scheme": args.scheme,
             "n": args.n_list,
-            "steps_per_period": args.steps_per_period if variant is not MassVariant.NSPRING else None,
+            "steps_per_period": None if args.scheme == "nspring" else steps,
             "l2": _rate_payload(fit_rate(records, "l2")),
             "h1": _rate_payload(fit_rate(records, "h1")),
         },
@@ -288,7 +286,7 @@ def cmd_sweep(args) -> list[Path]:
         "axis": table.axis,
         "n": params.n_springs,
         "omega": forcing.omega,
-        "params": asdict(params),
+        "params": {**asdict(params), "L": forcing.L_ref},
         "values": list(table.values),
         "displacements": [None if math.isnan(d) else float(d) for d in displacements],
         "failures": list(table.failures),
@@ -405,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--n-list", type=grid_sizes, default="25,50,100,200,400,800", help="comma-separated grid sizes"
     )
-    p.add_argument("--steps-per-period", type=positive_int, default=16384)
+    p.add_argument("--steps-per-period", type=positive_int, default=None, help="default: 16384")
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("sweep", parents=[common], help="displacement along one parameter axis")
@@ -433,6 +431,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.func is cmd_simulate and args.scheme == "analytic" and args.dt is not None:
         parser.error("argument --dt: only the stepped schemes take a time step, not --scheme analytic")
+    if args.func is cmd_converge and args.scheme == "nspring" and args.steps_per_period is not None:
+        parser.error("argument --steps-per-period: only lumped and galerkin are stepped, not --scheme nspring")
     try:
         written = args.func(args)
     except Exception as exc:  # single-line diagnostics, nonzero exit

@@ -18,25 +18,22 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .analytic import DiscreteModeShape, build_continuous_mode, build_discrete_mode
+from .analytic import build_continuous_mode
 from .fem import MassVariant, assemble, harmonic_state
-from .model import Forcing, SwimmerParams, k_omega_of, params_for_k_omega
+from .model import Forcing, SwimmerParams, params_for_k_omega
 
 SWEEP_AXES = ("eps_tilde", "k_omega")
 
 
 @dataclass(frozen=True, slots=True)
 class StrokeResult:
-    """Net head displacement over one period and the parameters that produced it.
+    """Net head displacement over one period and the chain size that produced it.
 
     Slotted because a sweep keeps one per point: an instance then takes
     half the memory of one with an attribute dict.
     """
 
     displacement: float
-    eps_tilde: float
-    k_omega: float
-    omega: float
     n: int
     quadrature_points: int  # time samples per node; always 1, the period mean is exact
 
@@ -117,13 +114,6 @@ def instantaneous_v1(params: SwimmerParams, forcing: Forcing, state: np.ndarray,
     return float(v1) if v1.ndim == 0 else v1
 
 
-def _check_discrete(params: SwimmerParams, forcing: Forcing, mode: DiscreteModeShape) -> None:
-    if mode.n != params.n_springs:
-        raise ValueError(f"mode was built for n={mode.n}, params have n={params.n_springs}")
-    if not math.isclose(mode.omega, forcing.omega, rel_tol=1e-12):
-        raise ValueError("mode and forcing disagree on omega")
-
-
 def _period_mean(e, b, d):
     """Period mean of Re(e exp(iwt)) / (d + Re(b exp(iwt))), elementwise.
 
@@ -150,9 +140,6 @@ def _drift(params: SwimmerParams, forcing: Forcing, head_amp, tail) -> StrokeRes
     head = -0.75 * k * params.a_tilde * _period_mean(head_amp, arm * forcing.eps_tilde, arm)
     return StrokeResult(
         displacement=forcing.period * float(head + 1.5 * params.a_tilde * k * tail),
-        eps_tilde=forcing.eps_tilde,
-        k_omega=k_omega_of(params, forcing),
-        omega=forcing.omega,
         n=params.n_springs,
         quadrature_points=1,
     )
@@ -161,7 +148,7 @@ def _drift(params: SwimmerParams, forcing: Forcing, head_amp, tail) -> StrokeRes
 def stroke_displacement_discrete(
     params: SwimmerParams,
     forcing: Forcing,
-    mode: DiscreteModeShape,
+    mode=None,
     m_quad: int | None = None,
 ) -> StrokeResult:
     """Net displacement over one period of the bead chain, exact in time.
@@ -171,10 +158,9 @@ def stroke_displacement_discrete(
     NSPRING (bead chain) periodic solve and cum_j = L + (j+1) h +
     Re((L eps_tilde + sum_{i<=j} A_i / n) exp(i omega t)). Each is averaged in
     closed form, in O(n) time and memory, and |B| < D checks every cum_j > 0
-    over the whole period. mode supplies the n and omega checks; m_quad is
-    ignored and stays only until the benchmark stops passing it.
+    over the whole period. mode and m_quad are ignored and stay only until
+    the benchmark stops passing them.
     """
-    _check_discrete(params, forcing, mode)
     n = params.n_springs
     amps = np.append(harmonic_state(assemble(params, forcing, MassVariant.NSPRING)), 0.0)
     b = forcing.L_ref * forcing.eps_tilde + np.cumsum(amps[:n]) / n
@@ -247,8 +233,7 @@ def sweep(
         else:
             point_params, point_forcing = params_for_k_omega(params, forcing, v), forcing
         try:
-            mode = build_discrete_mode(point_params, point_forcing)
-            results.append(stroke_displacement_discrete(point_params, point_forcing, mode))
+            results.append(stroke_displacement_discrete(point_params, point_forcing))
             failures.append(None)
         except (ValueError, FloatingPointError) as exc:
             results.append(None)
@@ -279,8 +264,7 @@ def optimize_k_omega(
 
     def objective(u: float) -> float:
         point = params_for_k_omega(params, forcing, math.exp(u))
-        mode = build_discrete_mode(point, forcing)
-        return abs(stroke_displacement_discrete(point, forcing, mode).displacement)
+        return abs(stroke_displacement_discrete(point, forcing).displacement)
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = math.log(lo), math.log(hi)
@@ -308,8 +292,7 @@ def optimize_k_omega(
         raise ValueError("no interior extremum: optimizer converged at a bracket edge")
     k_omega_opt = math.exp(u_opt)
     best = params_for_k_omega(params, forcing, k_omega_opt)
-    mode = build_discrete_mode(best, forcing)
-    result = stroke_displacement_discrete(best, forcing, mode)
+    result = stroke_displacement_discrete(best, forcing)
     return OptimizeResult(
         k_omega_opt=k_omega_opt,
         k_tilde_equiv=best.k_tilde,

@@ -30,7 +30,7 @@ DEFAULTS = {
     "omega": 1.0,
 }
 
-_PARAM_KEYS = ("a_tilde", "a1", "Lambda", "L", "k_tilde", "mu", "n_springs")
+_PARAM_KEYS = ("a_tilde", "a1", "Lambda", "k_tilde", "mu", "n_springs")
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,6 @@ class SwimmerParams:
     a_tilde : aggregate tail bead radius (m); individual beads have a_tilde/N.
     a1 : radius of the head and driver spheres (m).
     Lambda : rest length of the whole tail (m).
-    L : rest length of the active arm (m).
     k_tilde : aggregate tail stiffness (N/m); individual springs have k_tilde*N.
     mu : dynamic viscosity of the fluid (Pa s).
     n_springs : number of springs in the tail.
@@ -51,13 +50,12 @@ class SwimmerParams:
     a_tilde: float
     a1: float
     Lambda: float
-    L: float
     k_tilde: float
     mu: float
     n_springs: int = 2000
 
     def __post_init__(self) -> None:
-        for name in ("a_tilde", "a1", "Lambda", "L", "k_tilde", "mu"):
+        for name in ("a_tilde", "a1", "Lambda", "k_tilde", "mu"):
             value = getattr(self, name)
             number = isinstance(value, (int, float)) and not isinstance(value, bool)  # JSON true is not 1
             if not (number and math.isfinite(value) and value > 0):
@@ -80,7 +78,10 @@ class SwimmerParams:
 
 @dataclass(frozen=True)
 class Forcing:
-    """Prescribed arm oscillation L0(t) = L_ref * (1 + eps_tilde*cos(omega*t))."""
+    """Prescribed arm oscillation L0(t) = L_ref * (1 + eps_tilde*cos(omega*t)).
+
+    L_ref is the rest length of the active arm (m), the config key L.
+    """
 
     eps_tilde: float
     omega: float
@@ -145,7 +146,7 @@ def config_from_mapping(raw: dict) -> tuple[SwimmerParams, Forcing]:
             raise ValueError(f"n_springs must be an integer, got {n!r}")
         merged["n_springs"] = int(n)
     params = SwimmerParams(**{key: merged[key] for key in _PARAM_KEYS})
-    forcing = Forcing(eps_tilde=merged["eps_tilde"], omega=merged["omega"], L_ref=params.L)
+    forcing = Forcing(eps_tilde=merged["eps_tilde"], omega=merged["omega"], L_ref=merged["L"])
     return params, forcing
 
 

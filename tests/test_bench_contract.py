@@ -9,8 +9,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_design_sweep_smoke_run():
-    # bench/workloads.py passes m_quad positionally and bench/tracing.py reads
-    # StrokeResult.quadrature_points; removing either breaks this run
+    # what bench/ still pins, so removing any of it breaks this run: workloads.py
+    # passes a chain mode and m_quad positionally to stroke_displacement_discrete
+    # and m_quad to sweep and optimize_k_omega; tracing.py reads StrokeResult.n
+    # and .quadrature_points; oracles.py reads Forcing.L_ref
     result = subprocess.run(
         [
             sys.executable, "bench/run.py", "--workload", "design_sweep", "--seed", "1",
@@ -26,6 +28,8 @@ def test_design_sweep_smoke_run():
     assert summary["correct"] is True
     metrics = {name: entry["value"] for name, entry in summary["metrics"].items()}
     assert metrics["displacement.stroke_displacement_discrete.cells"] > 0
+    # the drift comes from the banded solve alone: no stroke builds a chain mode
+    assert metrics["analytic.build_discrete_mode.calls"] == 0
     # the tracer sees kernel work only through this public name, so every sweep
     # point must go through it. objective_evals already counts the kernel calls
     # made under optimize_k_omega, so this checks the sweep calls only. A point

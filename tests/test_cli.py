@@ -264,6 +264,24 @@ class TestSweep:
         payload = json.loads((tmp_path / "sweep_eps_tilde.json").read_text())
         assert payload["log_log_slope"] == pytest.approx(2.0, abs=0.1)
 
+    def test_stiff_springs_write_no_null(self, tmp_path):
+        config = write_config(tmp_path, n_springs=300)
+        sweep = ["sweep", "--axis", "k_omega", "--from", "1e20", "--to", "1e30", "--points", "3", "--log"]
+        assert run([*sweep, "--config", config, "--out", tmp_path]) == 0
+        payload = json.loads((tmp_path / "sweep_k_omega.json").read_text())
+        assert None not in payload["displacements"]  # a failed point is written as null
+        assert payload["failures"] == [None] * 3
+
+    def test_arm_length_key_reaches_the_drift(self, tmp_path):
+        sweep = ["sweep", "--axis", "k_omega", "--from", "0.1", "--to", "1", "--points", "2"]
+        payloads = []
+        for arm in (3e-5, 6e-5):
+            out = tmp_path / str(arm)
+            assert run([*sweep, "--config", write_config(tmp_path, n_springs=50, L=arm), "--out", out]) == 0
+            payloads.append(json.loads((out / "sweep_k_omega.json").read_text()))
+        assert [payload["params"]["L"] for payload in payloads] == [3e-5, 6e-5]
+        assert payloads[0]["displacements"][0] != payloads[1]["displacements"][0]
+
     def test_determinism_byte_identical(self, tmp_path):
         config = write_config(tmp_path, n_springs=40)
         args = [
@@ -510,6 +528,7 @@ class TestErrorHandling:
             ["simulate", "--dt", "1e-3"],
             ["simulate", "--scheme", "analytic", "--dt", "1e-3"],
             ["converge", "--steps-per-period", "0"],
+            ["converge", "--scheme", "nspring", "--steps-per-period", "4096"],
             ["optimize", "--bracket", "1e-2", "inf"],
             ["optimize", "--bracket", "0", "1e2"],
             ["optimize", "--bracket", "-1", "1e2"],
@@ -549,6 +568,15 @@ class TestErrorHandling:
         sweep = ["sweep", "--axis", "k_omega", "--from", "0.1", "--to", "1", "--points", "3"]
         assert run([*sweep, "--config", config, "--out", tmp_path]) == 1
         assert capsys.readouterr().err == "error: n_springs must be an integer >= 1, got True\n"
+
+    @pytest.mark.parametrize(
+        "arm, message", [(-1, "L_ref must be positive and finite, got -1"), (True, "L_ref must be a number, got True")]
+    )
+    def test_bad_arm_length_exits_1(self, tmp_path, capsys, arm, message):
+        # the config key L is validated as Forcing.L_ref, the one arm length the drift reads
+        config = write_config(tmp_path, L=arm)
+        assert run(["optimize", "--config", config, "--out", tmp_path]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 COLD_PATHS = """

@@ -23,7 +23,7 @@ from springswim.displacement import (
     sweep,
 )
 from springswim.fem import MassVariant, assemble, harmonic_state
-from springswim.model import config_from_mapping, k_omega_of, params_for_k_omega
+from springswim.model import config_from_mapping, params_for_k_omega
 
 # argmax of |displacement| on the 100-point log grid over [1e-2, 1e2],
 # reference parameters, eps_tilde = 0.7; cross-checked during development
@@ -173,7 +173,7 @@ class TestStrokeDiscrete:
         result = stroke_displacement_discrete(params, forcing, mode_for(params, forcing))
         assert result.displacement == pytest.approx(-1.354906127597418e-06, rel=1e-10)
         assert result.n == 2000
-        assert result.k_omega == pytest.approx(0.05960859291831286, rel=1e-12)
+        assert result.quadrature_points == 1
 
     def test_grid_peak_value(self):
         params, forcing = default_pair()
@@ -233,11 +233,11 @@ class TestStrokeDiscrete:
         message = "unphysical state: non-positive cumulative arm length"
         if kernel == "discrete":
             mode = mode_for(params, forcing)
-            monkeypatch.setattr(displacement, "harmonic_state", lambda system: np.full(20, -40.0 * params.L))
+            monkeypatch.setattr(displacement, "harmonic_state", lambda system: np.full(20, -40.0 * forcing.L_ref))
             with pytest.raises(ValueError, match=message):
                 stroke_displacement_discrete(params, forcing, mode)
         else:
-            swept = -40.0 * params.L * params.Lambda
+            swept = -40.0 * forcing.L_ref * params.Lambda
             monkeypatch.setattr(ContinuousModeShape, "profile_integral", lambda self, y: np.full(np.shape(y), swept))
             with pytest.raises(ValueError, match=message):
                 stroke_displacement_continuous(params, forcing)
@@ -253,18 +253,9 @@ class TestStrokeDiscrete:
             tracemalloc.stop()
         assert peak < 40e6
 
-    def test_mode_mismatch_rejected(self):
-        params, forcing = default_pair(n_springs=20)
-        other = dataclasses.replace(params, n_springs=21)
-        with pytest.raises(ValueError, match="n="):
-            stroke_displacement_discrete(other, forcing, mode_for(params, forcing))
-
     def test_result_finiteness_enforced(self):
         with pytest.raises(ValueError, match="finite"):
-            StrokeResult(
-                displacement=math.inf, eps_tilde=0.7, k_omega=1.0, omega=1.0, n=10,
-                quadrature_points=256,
-            )
+            StrokeResult(displacement=math.inf, n=10, quadrature_points=1)
 
 
 class TestStrokeContinuous:
@@ -452,6 +443,16 @@ class TestSweep:
         # the peak location is stable in N well before N = 2000
         assert abs(best - GRID_ARGMAX_INDEX) <= 1
 
+    def test_stiff_springs_on_the_asymptote(self):
+        # the drift of stiff springs falls as 1/k_omega; up to 1e30 the banded solve
+        # stays on that line, where the closed-form chain mode had degenerate roots
+        params, forcing = default_pair(n_springs=300, eps_tilde=0.4)
+        values = [1e8, 1e20, 1e25, 1e30]
+        table = sweep(params, forcing, "k_omega", values)
+        assert table.failures == (None,) * len(values)
+        scaled = np.array(values) * table.displacements()
+        assert np.all(np.abs(scaled / scaled[0] - 1.0) <= 1e-11)
+
     def test_argbest_empty(self):
         table = SweepTable(axis="k_omega", values=(), results=(), failures=())
         with pytest.raises(ValueError, match="no successful"):
@@ -530,13 +531,3 @@ class TestOptimize:
         expected = math.ceil(math.log(1e-2 / width) / math.log((math.sqrt(5.0) - 1.0) / 2.0))
         assert result.iterations == expected
 
-
-class TestGroupsConsistency:
-    def test_stroke_result_carries_group(self):
-        params, forcing = default_pair(n_springs=150)
-        result = stroke_displacement_discrete(params, forcing, mode_for(params, forcing))
-        assert result.k_omega == pytest.approx(
-            k_omega_of(params, forcing), rel=1e-14
-        )
-        assert result.eps_tilde == forcing.eps_tilde
-        assert result.quadrature_points == 1

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from springswim.displacement import stroke_displacement_discrete
 from springswim.model import (
     DEFAULTS,
     Forcing,
@@ -61,10 +62,16 @@ class TestSwimmerParams:
         ],
     )
     def test_rejects_bad_scalars(self, field, value):
-        kwargs = {k: DEFAULTS[k] for k in ("a_tilde", "a1", "Lambda", "L", "k_tilde", "mu")}
+        kwargs = {k: DEFAULTS[k] for k in ("a_tilde", "a1", "Lambda", "k_tilde", "mu")}
         kwargs[field] = value
         with pytest.raises(ValueError, match=field):
             SwimmerParams(**kwargs)
+
+    def test_arm_length_is_not_a_param(self):
+        # the arm law reads Forcing.L_ref alone; a second copy here changed no result
+        params, _ = default_pair()
+        with pytest.raises(TypeError):
+            dataclasses.replace(params, L=6e-5)
 
     def test_rejects_bad_n(self):
         params, _ = default_pair()
@@ -137,7 +144,15 @@ class TestConfig:
         assert params.k_tilde == DEFAULTS["k_tilde"]
         assert forcing.eps_tilde == DEFAULTS["eps_tilde"]
         assert forcing.omega == DEFAULTS["omega"]
-        assert forcing.L_ref == params.L
+        assert forcing.L_ref == DEFAULTS["L"]
+
+    def test_arm_length_key_sets_l_ref(self):
+        params, forcing = config_from_mapping({"n_springs": 50})
+        longer_params, longer = config_from_mapping({"n_springs": 50, "L": 6e-5})
+        assert longer_params == params
+        assert longer.L_ref == 6e-5
+        drift = stroke_displacement_discrete(params, forcing).displacement
+        assert stroke_displacement_discrete(params, longer).displacement != drift
 
     def test_partial_override(self):
         params, forcing = config_from_mapping({"n_springs": 10, "eps_tilde": 0.25})
@@ -157,7 +172,8 @@ class TestConfig:
     @pytest.mark.parametrize("key", sorted(DEFAULTS))
     def test_non_numbers_rejected(self, key, value):
         # JSON true/false are Python bools, an int subclass: they must not pass as 1 or 0
-        with pytest.raises(ValueError, match=rf"^{key} must be .*, got {re.escape(repr(value))}$"):
+        name = "L_ref" if key == "L" else key  # the config key L is the field Forcing.L_ref
+        with pytest.raises(ValueError, match=rf"^{name} must be .*, got {re.escape(repr(value))}$"):
             config_from_mapping({key: value})
 
     def test_fractional_n_rejected(self):
