@@ -45,45 +45,6 @@ class MassVariant(Enum):
 
 
 @dataclass(frozen=True)
-class UniformGrid:
-    """n elements of size spacing covering [0, length]."""
-
-    n: int
-    spacing: float
-    length: float
-
-    def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not (isinstance(self.n, numbers.Integral) and self.n >= 1):
-            raise ValueError(f"grid needs at least one element, got n={self.n!r}")
-        object.__setattr__(self, "n", int(self.n))  # a numpy integer is stored as int
-        if not self.spacing > 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing!r}")
-        if abs(self.n * self.spacing - self.length) > 1e-9 * self.length:
-            raise ValueError("n * spacing must equal length")
-
-    @property
-    def nodes(self) -> np.ndarray:
-        """Node positions (j-1)*spacing for j = 1..n+1."""
-        return np.arange(self.n + 1) * self.spacing
-
-
-@dataclass(frozen=True)
-class ElongationField:
-    """Nodal elongations on a grid; the far-end value is pinned to zero."""
-
-    grid: UniformGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.n + 1,):
-            raise ValueError(f"expected {self.grid.n + 1} node values, got shape {values.shape}")
-        if values[-1] != 0.0:
-            raise ValueError("far-end node value must be exactly zero")
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
 class AssembledSystem:
     """Semi-discrete system M dl/dt + A l = load(t) on the retained nodes.
 
@@ -93,7 +54,6 @@ class AssembledSystem:
     A and M are symmetric tridiagonal, each stored as (main, super) diagonals.
     """
 
-    grid: UniformGrid
     stiffness: tuple[np.ndarray, np.ndarray]
     mass: tuple[np.ndarray, np.ndarray]
     forcing: Forcing
@@ -132,7 +92,6 @@ def assemble(params: SwimmerParams, forcing: Forcing, variant: MassVariant) -> A
         raise ValueError(f"unknown mass variant {variant!r}")
 
     return AssembledSystem(
-        grid=UniformGrid(n=n, spacing=h, length=lam),
         stiffness=stiffness,
         mass=mass,
         forcing=forcing,
@@ -173,16 +132,15 @@ def harmonic_state(system: AssembledSystem) -> np.ndarray:
     Re(u * exp(i omega t)). The tridiagonal solve is LAPACK zgtsv, with
     the checks and the n = 1 division of scipy.linalg.solve_banded.
     """
-    n = system.grid.n
     omega = system.forcing.omega
     (mass_diag, mass_off), (stiff_diag, stiff_off) = system.mass, system.stiffness
     diag = 1j * omega * mass_diag + stiff_diag
     off = 1j * omega * mass_off + stiff_off
-    rhs = np.zeros(n, dtype=complex)
-    rhs[0] = system.load_amplitude
-    if not (np.isfinite(diag).all() and np.isfinite(off).all() and np.isfinite(rhs).all()):
+    if not (np.isfinite(diag).all() and np.isfinite(off).all() and np.isfinite(system.load_amplitude)):
         raise ValueError("harmonic system must not contain infs or NaNs")
-    if n == 1:
+    rhs = np.zeros(diag.size, dtype=complex)
+    rhs[0] = system.load_amplitude
+    if diag.size == 1:
         return rhs / diag
     *_, u, info = _lapack().zgtsv(off, diag, off, rhs, overwrite_d=True, overwrite_b=True)
     if info != 0:
@@ -242,34 +200,37 @@ class CrankNicolson:
 class Trajectory:
     """Sampled transient states; row k holds all node values at times[k]."""
 
-    grid: UniformGrid
     times: np.ndarray
     values: np.ndarray
 
 
 def solve_transient(
     system: AssembledSystem,
-    initial: ElongationField | None,
+    initial: np.ndarray | None,
     t_end: float,
     dt: float,
     sample_every: int = 1,
 ) -> Trajectory:
-    """Integrate from the initial field (zero if None) up to t_end.
+    """Integrate from the n+1 initial node values (zero if None) up to t_end.
 
-    dt must divide t_end and sample_every must divide the step count; the
-    initial state is always the first sample.
+    The far-end initial value must be exactly zero. dt must divide t_end and
+    sample_every the step count; the initial state is always the first sample.
     """
-    n = system.grid.n
+    n = system.stiffness[0].size
     if initial is None:
         state = np.zeros(n)
     else:
-        if initial.grid != system.grid:
-            raise ValueError("initial field lives on a different grid")
-        state = initial.values[:n].copy()
+        initial = np.asarray(initial, dtype=float)
+        if initial.shape != (n + 1,):
+            raise ValueError(f"expected {n + 1} node values, got shape {initial.shape}")
+        if initial[-1] != 0.0:
+            raise ValueError("far-end node value must be exactly zero")
+        state = initial[:n].copy()
     nsteps = round(t_end / dt)
     if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-9 * t_end:
         raise ValueError(f"dt={dt!r} must divide t_end={t_end!r}")
-    if not (isinstance(sample_every, int) and sample_every >= 1 and nsteps % sample_every == 0):
+    integral = isinstance(sample_every, numbers.Integral) and not isinstance(sample_every, bool)
+    if not (integral and sample_every >= 1 and nsteps % sample_every == 0):
         raise ValueError(f"sample_every={sample_every!r} must divide the {nsteps} steps")
 
     stepper = CrankNicolson(system, dt)
@@ -280,4 +241,4 @@ def solve_transient(
         if (k + 1) % sample_every == 0:
             values[(k + 1) // sample_every, :n] = state
     times = np.arange(0, nsteps + 1, sample_every) * dt
-    return Trajectory(grid=system.grid, times=times, values=values)
+    return Trajectory(times=times, values=values)

@@ -1,9 +1,9 @@
 """Norms and convergence-rate measurement.
 
-Fields are piecewise linear on a uniform grid and pinned to zero at the
-far end. L2 and H1 quantities are computed from closed-form per-element
-integrals, never by sampling, so convergence tables carry no quadrature
-noise.
+A field is the array of its n+1 node values at spacing h, linear between
+nodes and pinned to zero at the far end. L2 and H1 quantities are computed
+from closed-form per-element integrals, never by sampling, so convergence
+tables carry no quadrature noise.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .analytic import ContinuousModeShape, build_continuous_mode
-from .fem import ElongationField, MassVariant, assemble, harmonic_state, solve_transient
+from .fem import MassVariant, assemble, harmonic_state, solve_transient
 from .model import Forcing, SwimmerParams
 
 
@@ -48,30 +48,36 @@ class RateEstimate:
     refit: "RateEstimate | None" = None
 
 
-def l2_norm(field: ElongationField) -> float:
-    """Exact L2 norm of the piecewise-linear interpolant."""
-    u = field.values
-    h = field.grid.spacing
+def l2_norm(u: np.ndarray, h: float) -> float:
+    """Exact L2 norm of the piecewise-linear interpolant of node values u at spacing h."""
     left, right = u[:-1], u[1:]
     return math.sqrt((h / 3.0) * float(np.sum(left * left + left * right + right * right)))
 
 
-def h1_seminorm(field: ElongationField) -> float:
+def h1_seminorm(u: np.ndarray, h: float) -> float:
     """Exact H1 seminorm; the derivative is piecewise constant."""
-    du = np.diff(field.values)
-    return math.sqrt(float(np.sum(du * du)) / field.grid.spacing)
+    du = np.diff(u)
+    return math.sqrt(float(np.sum(du * du)) / h)
 
 
-def error_vs_analytic(numeric: ElongationField, mode: ContinuousModeShape, t: float) -> ErrorRecord:
-    """L2 and H1 errors of a nodal field against the continuous profile at time t.
+def error_vs_analytic(values: np.ndarray, mode: ContinuousModeShape, t: float) -> ErrorRecord:
+    """L2 and H1 errors of n+1 node values against the continuous profile at time t.
 
-    The continuous solution is interpolated at the nodes first, so this
-    measures the distance between two piecewise-linear functions.
+    The nodes split [0, mode.length] into n equal elements; the far-end value
+    must be exactly zero. The continuous solution is interpolated at the nodes
+    first, so this measures the distance between two piecewise-linear functions.
     """
-    exact = mode.values(numeric.grid.nodes, t)
-    exact[-1] = 0.0  # pinned analytically; clear roundoff so the field stays valid
-    diff = ElongationField(numeric.grid, numeric.values - exact)
-    return ErrorRecord(n=numeric.grid.n, l2_error=l2_norm(diff), h1_error=h1_seminorm(diff))
+    values = np.asarray(values, dtype=float)
+    n = values.size - 1
+    if values.ndim != 1 or n < 1:
+        raise ValueError(f"expected at least 2 node values in one row, got shape {values.shape}")
+    if values[-1] != 0.0:
+        raise ValueError("far-end node value must be exactly zero")
+    h = mode.length / n
+    exact = mode.values(np.arange(n + 1) * h, t)
+    exact[-1] = 0.0  # pinned analytically; clear roundoff so the difference is pinned too
+    diff = values - exact
+    return ErrorRecord(n=n, l2_error=l2_norm(diff, h), h1_error=h1_seminorm(diff, h))
 
 
 def fit_rate(records: list[ErrorRecord], which: str) -> RateEstimate:
@@ -138,10 +144,10 @@ def convergence_study(
     records = []
     for n in n_list:
         system = assemble(dc_replace(params, n_springs=n), forcing, variant)
-        state = ElongationField(system.grid, np.append(harmonic_state(system).real, 0.0))
+        state = np.append(harmonic_state(system).real, 0.0)
         if variant is not MassVariant.NSPRING:
             dt = forcing.period / steps_per_period
             trajectory = solve_transient(system, state, forcing.period, dt, sample_every=steps_per_period)
-            state = ElongationField(system.grid, trajectory.values[-1])
+            state = trajectory.values[-1]
         records.append(error_vs_analytic(state, mode, forcing.period))
     return records

@@ -12,7 +12,10 @@ def test_design_sweep_smoke_run():
     # what bench/ still pins, so removing any of it breaks this run: workloads.py
     # passes a chain mode and m_quad positionally to stroke_displacement_discrete
     # and m_quad to sweep and optimize_k_omega; tracing.py reads StrokeResult.n
-    # and .quadrature_points; oracles.py reads Forcing.L_ref
+    # and .quadrature_points; oracles.py reads Forcing.L_ref; workloads.py:420
+    # calls solve_transient(system, None, t_end, dt, sample_every) positionally
+    # and reads Trajectory.times and .values. tracing.py wraps
+    # metrics.error_vs_analytic by name only, so its signature is free to change
     result = subprocess.run(
         [
             sys.executable, "bench/run.py", "--workload", "design_sweep", "--seed", "1",

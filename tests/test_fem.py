@@ -10,10 +10,8 @@ from springswim.analytic import build_discrete_mode
 from springswim.fem import (
     AssembledSystem,
     CrankNicolson,
-    ElongationField,
     MassVariant,
     Trajectory,
-    UniformGrid,
     assemble,
     harmonic_state,
     solve_transient,
@@ -36,56 +34,20 @@ def dense(matrix):
 
 def load_vector(system, t):
     """The full load vector at time t: Re(load_amplitude exp(i omega t)) at node 0, zero elsewhere."""
-    f = np.zeros(system.grid.n)
+    f = np.zeros(system.stiffness[0].size)
     f[0] = (system.load_amplitude * np.exp(1j * system.forcing.omega * t)).real
     return f
 
 
-def random_field(grid, rng, scale=1.0):
-    values = rng.normal(0.0, scale, grid.n + 1)
-    values[-1] = 0.0
-    return ElongationField(grid, values)
-
-
-class TestGridAndField:
-    def test_nodes(self):
-        grid = UniformGrid(n=4, spacing=0.25, length=1.0)
-        assert np.allclose(grid.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
-
-    def test_grid_consistency_enforced(self):
-        with pytest.raises(ValueError, match="length"):
-            UniformGrid(n=4, spacing=0.3, length=1.0)
-        with pytest.raises(ValueError, match="spacing"):
-            UniformGrid(n=4, spacing=-0.25, length=-1.0)
-        with pytest.raises(ValueError, match="element"):
-            UniformGrid(n=0, spacing=0.25, length=0.0)
-
-    def test_grid_size_is_an_int(self):
-        assert type(UniformGrid(n=np.int64(4), spacing=0.25, length=1.0).n) is int
-        for n in (True, np.bool_(True), 1.0):
-            with pytest.raises(ValueError, match="element"):
-                UniformGrid(n=n, spacing=1.0, length=1.0)
-
-    def test_grid_for_params(self):
-        params, forcing = default_pair(n_springs=16)
-        grid = assemble(params, forcing, MassVariant.NSPRING).grid
-        assert grid.spacing == params.h
-        assert grid.n == 16
-        assert grid.length == params.Lambda
-        assert grid.nodes[-1] == pytest.approx(params.Lambda, rel=1e-15)
-
-    def test_field_shape_checked(self):
-        grid = UniformGrid(n=3, spacing=0.5, length=1.5)
-        with pytest.raises(ValueError, match="node values"):
-            ElongationField(grid, np.zeros(3))
-
-    def test_field_pinned_end_checked(self):
-        grid = UniformGrid(n=3, spacing=0.5, length=1.5)
-        with pytest.raises(ValueError, match="zero"):
-            ElongationField(grid, np.array([1.0, 2.0, 3.0, 1e-300]))
-
-
 class TestAssembly:
+    def test_size_is_n_springs(self):
+        for n in (1, 16, np.int64(40)):
+            params, forcing = default_pair(n_springs=n)
+            for variant in MassVariant:
+                system = assemble(params, forcing, variant)
+                assert system.stiffness[0].size == n
+                assert system.mass[0].size == n
+
     def test_two_spring_hand_values(self):
         params, forcing = default_pair(n_springs=2)
         system = assemble(params, forcing, MassVariant.NSPRING)
@@ -192,7 +154,7 @@ class TestHarmonicState:
             u = harmonic_state(system)
             omega = forcing.omega
             matrix = 1j * omega * dense(system.mass) + dense(system.stiffness)
-            rhs = np.zeros(system.grid.n, dtype=complex)
+            rhs = np.zeros(params.n_springs, dtype=complex)
             rhs[0] = -(params.Lambda / 2.0) * 1j * omega * forcing.eps
             residual = matrix @ u - rhs
             assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(rhs))
@@ -312,13 +274,13 @@ class TestCrankNicolson:
         params, forcing = default_pair(n_springs=50)
         system = assemble(params, forcing, MassVariant.NSPRING)
         amps = harmonic_state(system)
-        start = ElongationField(system.grid, np.concatenate([amps.real, [0.0]]))
+        start = np.concatenate([amps.real, [0.0]])
 
         def orbit_error(steps):
             trajectory = solve_transient(
                 system, start, forcing.period, forcing.period / steps, sample_every=steps
             )
-            return float(np.max(np.abs(trajectory.values[-1] - start.values)))
+            return float(np.max(np.abs(trajectory.values[-1] - start)))
 
         ratio = orbit_error(128) / orbit_error(256)
         assert 3.5 <= ratio <= 4.5
@@ -336,15 +298,13 @@ class TestSolveTransient:
         assert trajectory.times[-1] == pytest.approx(forcing.period, rel=1e-12)
         assert np.all(trajectory.values[0] == 0.0)  # zero initial data by default
         assert np.all(trajectory.values[:, -1] == 0.0)  # pinned column
-        for row in trajectory.values:
-            ElongationField(trajectory.grid, row)  # raises unless a valid pinned field
 
     def test_initial_field_used(self):
         params, forcing = default_pair(n_springs=6, eps_tilde=0.0)
         system = assemble(params, forcing, MassVariant.NSPRING)
-        start = ElongationField(system.grid, np.array([1e-6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+        start = np.array([1e-6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         trajectory = solve_transient(system, start, forcing.period / 16, forcing.period / 64)
-        assert np.array_equal(trajectory.values[0], start.values)
+        assert np.array_equal(trajectory.values[0], start)
         # diffusion spreads and decays the bump
         assert abs(trajectory.values[-1][0]) < 1e-6
 
@@ -374,13 +334,31 @@ class TestSolveTransient:
         with pytest.raises(ValueError, match="sample_every"):
             solve_transient(system, None, 1.0, 0.125, sample_every=3)
 
-    def test_rejects_foreign_grid(self):
+    def test_sample_every_integral_types(self):
         params, forcing = default_pair(n_springs=4)
         system = assemble(params, forcing, MassVariant.NSPRING)
-        other = UniformGrid(n=4, spacing=1.0, length=4.0)
-        bad = ElongationField(other, np.zeros(5))
-        with pytest.raises(ValueError, match="grid"):
-            solve_transient(system, bad, 1.0, 0.25)
+        dt = forcing.period / 64
+        expected = solve_transient(system, None, forcing.period, dt, sample_every=8)
+        for sample_every in (np.int64(8), np.int32(8)):
+            trajectory = solve_transient(system, None, forcing.period, dt, sample_every=sample_every)
+            assert np.array_equal(trajectory.times, expected.times)
+            assert np.array_equal(trajectory.values, expected.values)
+        for sample_every in (True, np.True_, 8.0, 0, -8):
+            with pytest.raises(ValueError, match="sample_every"):
+                solve_transient(system, None, forcing.period, dt, sample_every=sample_every)
+
+    def test_rejects_wrong_length(self):
+        params, forcing = default_pair(n_springs=4)
+        system = assemble(params, forcing, MassVariant.NSPRING)
+        for initial in (np.zeros(4), np.zeros(6), np.zeros((1, 5))):
+            with pytest.raises(ValueError, match="node values"):
+                solve_transient(system, initial, 1.0, 0.25)
+
+    def test_rejects_nonzero_far_end(self):
+        params, forcing = default_pair(n_springs=3)
+        system = assemble(params, forcing, MassVariant.NSPRING)
+        with pytest.raises(ValueError, match="zero"):
+            solve_transient(system, np.array([1.0, 2.0, 3.0, 1e-300]), 1.0, 0.25)
 
     def test_convergence_toward_periodic_orbit(self):
         # from zero data the transient decays onto the harmonic orbit
@@ -403,4 +381,4 @@ class TestAssembledSystem:
         system = assemble(params, forcing, MassVariant.NSPRING)
         assert isinstance(system, AssembledSystem)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            system.grid = None
+            system.mass = None

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from springswim.analytic import build_continuous_mode, build_discrete_mode
-from springswim.fem import ElongationField, MassVariant, UniformGrid
+from springswim.fem import MassVariant
 from springswim.metrics import (
     ErrorRecord,
     RateEstimate,
@@ -22,29 +22,19 @@ from springswim.model import config_from_mapping
 from inner_products import discrete_inner_products, l2_inner, norm_equivalence_check
 
 
-def grid(n, length=1.0):
-    return UniformGrid(n=n, spacing=length / n, length=length)
-
-
-def field(values, length=1.0):
-    values = np.asarray(values, dtype=float)
-    return ElongationField(grid(len(values) - 1, length), values)
-
-
-def random_field(g, rng, scale=1.0):
-    values = rng.normal(0.0, scale, g.n + 1)
+def random_field(n, rng, scale=1.0):
+    """n+1 random node values with the far end pinned to zero."""
+    values = rng.normal(0.0, scale, n + 1)
     values[-1] = 0.0
-    return ElongationField(g, values)
+    return values
 
 
-def simpson_per_element(f):
+def simpson_per_element(u, h):
     """Exact integral of the squared interpolant: Simpson per element.
 
     Independent of the closed-form element integral used by l2_norm; the
     integrand is piecewise quadratic so per-element Simpson is exact.
     """
-    u = f.values
-    h = f.grid.spacing
     mids = 0.5 * (u[:-1] + u[1:])
     total = np.sum((h / 6.0) * (u[:-1] ** 2 + 4.0 * mids**2 + u[1:] ** 2))
     return math.sqrt(float(total))
@@ -52,152 +42,145 @@ def simpson_per_element(f):
 
 class TestNorms:
     def test_zero_field(self):
-        f = field(np.zeros(9))
-        assert l2_norm(f) == 0.0
-        assert h1_seminorm(f) == 0.0
+        u = np.zeros(9)
+        assert l2_norm(u, 1.0 / 8) == 0.0
+        assert h1_seminorm(u, 1.0 / 8) == 0.0
 
     def test_end_hat(self):
         # half hat at the driven end: integral of (1 - y/h)^2 over one element
         n = 8
+        h = 1.0 / n
         values = np.zeros(n + 1)
         values[0] = 1.0
-        f = field(values)
-        h = f.grid.spacing
-        assert l2_norm(f) == pytest.approx(math.sqrt(h / 3.0), rel=1e-14)
+        assert l2_norm(values, h) == pytest.approx(math.sqrt(h / 3.0), rel=1e-14)
 
     def test_interior_hat(self):
         n = 8
+        h = 1.0 / n
         values = np.zeros(n + 1)
         values[3] = 1.0
-        f = field(values)
-        h = f.grid.spacing
-        assert l2_norm(f) == pytest.approx(math.sqrt(2.0 * h / 3.0), rel=1e-14)
+        assert l2_norm(values, h) == pytest.approx(math.sqrt(2.0 * h / 3.0), rel=1e-14)
 
     def test_plateau_against_simpson(self):
         values = np.ones(17)
         values[-1] = 0.0
-        f = field(values)
-        assert l2_norm(f) == pytest.approx(simpson_per_element(f), rel=1e-13)
+        h = 1.0 / 16
+        assert l2_norm(values, h) == pytest.approx(simpson_per_element(values, h), rel=1e-13)
 
     def test_random_fields_against_simpson(self):
         rng = np.random.default_rng(53)
         for n in (3, 10, 64):
             for _ in range(20):
-                f = random_field(grid(n), rng)
-                assert l2_norm(f) == pytest.approx(simpson_per_element(f), rel=1e-12)
+                u = random_field(n, rng)
+                assert l2_norm(u, 1.0 / n) == pytest.approx(simpson_per_element(u, 1.0 / n), rel=1e-12)
 
     def test_ramp_h1(self):
         c = -2.7
         length = 4e-4
         n = 11
         values = np.linspace(c, 0.0, n + 1)
-        f = field(values, length)
-        assert h1_seminorm(f) == pytest.approx(abs(c) / math.sqrt(length), rel=1e-13)
+        assert h1_seminorm(values, length / n) == pytest.approx(abs(c) / math.sqrt(length), rel=1e-13)
 
     def test_h1_against_midpoint_derivative_sampling(self):
         rng = np.random.default_rng(59)
-        f = random_field(grid(12), rng)
-        nodes = f.grid.nodes
+        n = 12
+        h = 1.0 / n
+        u = random_field(n, rng)
+        nodes = np.arange(n + 1) * h
         mids = 0.5 * (nodes[:-1] + nodes[1:])
         delta = 1e-8
-        slopes = (
-            np.interp(mids + delta, nodes, f.values) - np.interp(mids - delta, nodes, f.values)
-        ) / (2.0 * delta)
-        expected = math.sqrt(float(np.sum(slopes**2) * f.grid.spacing))
-        assert h1_seminorm(f) == pytest.approx(expected, rel=1e-6)
+        slopes = (np.interp(mids + delta, nodes, u) - np.interp(mids - delta, nodes, u)) / (2.0 * delta)
+        expected = math.sqrt(float(np.sum(slopes**2) * h))
+        assert h1_seminorm(u, h) == pytest.approx(expected, rel=1e-6)
 
 
 class TestDiscreteInnerProducts:
     def test_zero(self):
-        f = field(np.zeros(6))
-        assert discrete_inner_products(f, f) == (0.0, 0.0, 0.0)
+        u = np.zeros(6)
+        assert discrete_inner_products(u, u, 0.2) == (0.0, 0.0, 0.0)
 
     def test_uniform_minus_trapezoid_is_half_first_product(self):
         rng = np.random.default_rng(61)
-        g = grid(9)
+        n = 9
+        h = 1.0 / n
         for _ in range(20):
-            u, v = random_field(g, rng), random_field(g, rng)
-            paren, angle, _ = discrete_inner_products(u, v)
-            assert paren - angle == pytest.approx(
-                0.5 * g.spacing * u.values[0] * v.values[0], rel=1e-13, abs=1e-18
-            )
+            u, v = random_field(n, rng), random_field(n, rng)
+            paren, angle, _ = discrete_inner_products(u, v, h)
+            assert paren - angle == pytest.approx(0.5 * h * u[0] * v[0], rel=1e-13, abs=1e-18)
 
     def test_defect_closed_form(self):
         # delta_h(u, v) = (h/2) u1 v1 + sum_e (h/6) du_e dv_e, exactly
         rng = np.random.default_rng(67)
-        g = grid(14)
+        n = 14
+        h = 1.0 / n
         for _ in range(20):
-            u, v = random_field(g, rng), random_field(g, rng)
-            _, _, defect = discrete_inner_products(u, v)
-            h = g.spacing
-            expected = 0.5 * h * u.values[0] * v.values[0] + np.sum(
-                (h / 6.0) * np.diff(u.values) * np.diff(v.values)
-            )
+            u, v = random_field(n, rng), random_field(n, rng)
+            _, _, defect = discrete_inner_products(u, v, h)
+            expected = 0.5 * h * u[0] * v[0] + np.sum((h / 6.0) * np.diff(u) * np.diff(v))
             assert defect == pytest.approx(expected, rel=1e-12, abs=1e-18)
 
     def test_defect_bilinear_symmetric(self):
         rng = np.random.default_rng(71)
-        g = grid(7)
-        u, v, w = (random_field(g, rng) for _ in range(3))
-        du = discrete_inner_products(u, v)[2]
-        dv = discrete_inner_products(v, u)[2]
+        n = 7
+        h = 1.0 / n
+        u, v, w = (random_field(n, rng) for _ in range(3))
+        du = discrete_inner_products(u, v, h)[2]
+        dv = discrete_inner_products(v, u, h)[2]
         assert du == pytest.approx(dv, rel=1e-12)
-        combo = ElongationField(g, 2.0 * v.values + 3.0 * w.values)
-        lhs = discrete_inner_products(u, combo)[2]
-        rhs = 2.0 * discrete_inner_products(u, v)[2] + 3.0 * discrete_inner_products(u, w)[2]
+        lhs = discrete_inner_products(u, 2.0 * v + 3.0 * w, h)[2]
+        rhs = 2.0 * discrete_inner_products(u, v, h)[2] + 3.0 * discrete_inner_products(u, w, h)[2]
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-18)
 
     def test_defect_envelope(self):
         # |delta_h| <= (h*Lambda/2 + h^2/6) |u'| |v'| from the closed form
         rng = np.random.default_rng(73)
+        length = 4e-4
         for n in (3, 10, 50):
-            g = grid(n, length=4e-4)
+            h = length / n
             for _ in range(30):
-                u, v = random_field(g, rng), random_field(g, rng)
-                _, _, defect = discrete_inner_products(u, v)
-                h = g.spacing
-                bound = (h * g.length / 2.0 + h * h / 6.0) * h1_seminorm(u) * h1_seminorm(v)
+                u, v = random_field(n, rng), random_field(n, rng)
+                _, _, defect = discrete_inner_products(u, v, h)
+                bound = (h * length / 2.0 + h * h / 6.0) * h1_seminorm(u, h) * h1_seminorm(v, h)
                 assert abs(defect) <= bound * (1.0 + 1e-12)
 
     def test_grid_mismatch(self):
-        with pytest.raises(ValueError, match="grid"):
-            discrete_inner_products(field(np.zeros(5)), field(np.zeros(6)))
-        with pytest.raises(ValueError, match="grid"):
-            l2_inner(field(np.zeros(5)), field(np.zeros(6)))
+        with pytest.raises(ValueError, match="lengths"):
+            discrete_inner_products(np.zeros(5), np.zeros(6), 0.25)
+        with pytest.raises(ValueError, match="lengths"):
+            l2_inner(np.zeros(5), np.zeros(6), 0.25)
 
 
 class TestNormEquivalence:
     def test_zero_field_equalities(self):
-        outcome = norm_equivalence_check(field(np.zeros(8)))
+        outcome = norm_equivalence_check(np.zeros(8), 1.0 / 7)
         assert outcome.all_ok
 
     def test_random_sweep(self):
         rng = np.random.default_rng(79)
         for n in (3, 10, 100):
-            g = grid(n)
             for _ in range(200):
-                outcome = norm_equivalence_check(random_field(g, rng, scale=10.0))
+                outcome = norm_equivalence_check(random_field(n, rng, scale=10.0), 1.0 / n)
                 assert outcome.all_ok
 
     def test_end_hat_attains_endpoint_equality(self):
         n = 6
+        h = 1.0 / n
         values = np.zeros(n + 1)
         values[0] = 3.0
-        f = field(values)
-        paren = discrete_inner_products(f, f)[0]
-        assert paren == pytest.approx(f.grid.spacing * 9.0, rel=1e-14)
-        assert norm_equivalence_check(f).all_ok
+        paren = discrete_inner_products(values, values, h)[0]
+        assert paren == pytest.approx(h * 9.0, rel=1e-14)
+        assert norm_equivalence_check(values, h).all_ok
 
 
 class TestErrorVsAnalytic:
     def test_self_difference_is_zero(self):
         params, forcing = config_from_mapping({"n_springs": 40})
         mode = build_continuous_mode(params, forcing)
-        g = grid(params.n_springs, params.Lambda)
         t = 1.3
-        values = mode.values(g.nodes, t)
+        values = mode.values(np.arange(params.n_springs + 1) * params.h, t)
         values[-1] = 0.0
-        record = error_vs_analytic(ElongationField(g, values), mode, t)
+        record = error_vs_analytic(values, mode, t)
+        assert record.n == params.n_springs
         assert record.l2_error == 0.0
         assert record.h1_error == 0.0
 
@@ -207,14 +190,22 @@ class TestErrorVsAnalytic:
         t = 2.0 * math.pi / forcing.omega
         errors = {}
         for n in (100, 200):
-            refined = dataclasses.replace(params, n_springs=n)
-            discrete = build_discrete_mode(refined, forcing)
-            g = grid(refined.n_springs, refined.Lambda)
-            record = error_vs_analytic(
-                ElongationField(g, discrete.node_values(t)), mode, t
-            )
-            errors[n] = record.l2_error
+            discrete = build_discrete_mode(dataclasses.replace(params, n_springs=n), forcing)
+            errors[n] = error_vs_analytic(discrete.node_values(t), mode, t).l2_error
         assert errors[100] / errors[200] == pytest.approx(2.0, rel=0.15)
+
+    def test_rejects_wrong_length(self):
+        params, forcing = config_from_mapping({})
+        mode = build_continuous_mode(params, forcing)
+        for values in (np.zeros(1), np.zeros(0), np.zeros((3, 4))):
+            with pytest.raises(ValueError, match="node values"):
+                error_vs_analytic(values, mode, 0.0)
+
+    def test_rejects_nonzero_far_end(self):
+        params, forcing = config_from_mapping({})
+        mode = build_continuous_mode(params, forcing)
+        with pytest.raises(ValueError, match="zero"):
+            error_vs_analytic(np.array([1.0, 2.0, 3.0, 1e-300]), mode, 0.0)
 
     def test_error_record_validation(self):
         with pytest.raises(ValueError, match="l2_error"):
