@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ import numpy as np
 
 from .analytic import build_discrete_mode
 from .displacement import instantaneous_v1, optimize_k_omega, sweep
-from .fem import MassVariant, assemble, solve_transient
+from .fem import CrankNicolson, MassVariant, assemble
 from .metrics import RateEstimate, convergence_study, fit_rate
 from .model import Forcing, SwimmerParams, config_from_mapping, load_config
 
@@ -173,10 +174,10 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _row_blocks(rows: np.ndarray, width: int):
-    """Consecutive row slices of rows, each about _BLOCK values of a table whose rows hold width values."""
-    step = max(1, _BLOCK // width)
-    return (rows[start : start + step] for start in range(0, len(rows), step))
+def _row_blocks(samples, width: int):
+    """(times, rows) blocks of about _BLOCK values from (t, row) samples whose table rows hold width values."""
+    samples, step = iter(samples), max(1, _BLOCK // width)
+    return iter(lambda: tuple(map(np.array, zip(*itertools.islice(samples, step)))), ())  # () ends it
 
 
 def _simulation_blocks(params: SwimmerParams, forcing: Forcing, blocks):
@@ -208,28 +209,25 @@ def cmd_simulate(args) -> list[Path]:
     t_end = forcing.period if args.t_end is None else args.t_end
 
     if args.scheme == "analytic":
-        times = np.linspace(0.0, t_end, args.samples + 1)
         mode = build_discrete_mode(params, forcing)
-        blocks = ((t, mode.node_values(t)) for t in _row_blocks(times, params.n_springs + 3))
+        samples = ((t, mode.node_values(t)) for t in np.linspace(0.0, t_end, args.samples + 1))
     else:
         system = assemble(params, forcing, MassVariant(args.scheme))
-        dt = t_end / 1024 if args.dt is None else args.dt
-        nsteps = round(t_end / dt)
+        nsteps = math.ceil(1024 / args.samples) * args.samples if args.dt is None else round(t_end / args.dt)
+        dt = t_end / nsteps if args.dt is None else args.dt
         if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-9 * t_end:
             raise ValueError(f"dt={dt!r} must divide t-end={t_end!r}")
         if nsteps % args.samples != 0:
             raise ValueError(
                 f"samples={args.samples} must divide the {nsteps} time steps; adjust --samples or --dt"
             )
-        trajectory = solve_transient(system, None, t_end, dt, sample_every=nsteps // args.samples)
-        width = params.n_springs + 3
-        blocks = zip(_row_blocks(trajectory.times, width), _row_blocks(trajectory.values, width))
+        samples = CrankNicolson(system, dt).samples(np.zeros(params.n_springs), nsteps, nsteps // args.samples)
 
     nodes = np.arange(params.n_springs + 1) * params.h
     elong_path, pos_path = out / "elongations.csv", out / "positions.csv"
     pos_header = ",".join(["t"] + [f"x{j}" for j in range(1, params.n_springs + 3)]) + "\n"
     headers = {elong_path: b"t," + b"".join(_format(nodes[None])), pos_path: pos_header.encode()}
-    _write_csv(headers, _simulation_blocks(params, forcing, blocks))
+    _write_csv(headers, _simulation_blocks(params, forcing, _row_blocks(samples, params.n_springs + 3)))
     return [elong_path, pos_path]
 
 
@@ -337,10 +335,11 @@ def cmd_analytic(args) -> list[Path]:
     params, forcing = _load(args)
     out = _out_dir(args)
     mode = build_discrete_mode(params, forcing)
-    times = np.linspace(0.0, forcing.period, args.samples + 1)
+    samples = ((t, mode.node_values(t)) for t in np.linspace(0.0, forcing.period, args.samples + 1))
     nodes = np.arange(params.n_springs + 1) * params.h
     csv_path, json_path = out / "analytic.csv", out / "analytic.json"
-    blocks = ((np.column_stack([t, mode.node_values(t)]),) for t in _row_blocks(times, params.n_springs + 2))
+    # map, unlike a generator expression, keeps no block alive while its table is written
+    blocks = map(lambda block: (np.column_stack(block),), _row_blocks(samples, params.n_springs + 2))
     _write_csv({csv_path: b"t," + b"".join(_format(nodes[None]))}, blocks)
     payload = {"n": mode.n, "k_omega": mode.k_omega, "omega": mode.omega}
     for name in ("gamma_plus", "gamma_minus", "delta", "z_d", "b_d", "alpha_d", "beta_d"):

@@ -8,7 +8,8 @@ the uniform diagonal diag(h, ..., h) under which the finite element
 system coincides with the bead-spring chain exactly. The load acts on
 the driven node alone. Crank-Nicolson factors its tridiagonal left
 matrix once (LAPACK LDL^T), so a step is one three-point convolve and
-one O(n) solve.
+one O(n) solve. CrankNicolson.samples is the one stepping loop: it
+yields sampled rows one at a time, which solve_transient collects.
 
 Both solves call LAPACK through _lapack(), which loads scipy's compiled
 wrapper module scipy.linalg._flapack on first use and nothing else of
@@ -26,6 +27,7 @@ import importlib.machinery
 import importlib.util
 import math
 import numbers
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -195,6 +197,14 @@ class CrankNicolson:
             raise np.linalg.LinAlgError(f"tridiagonal solve failed (dpttrs info={info})")
         return u
 
+    def samples(self, state: np.ndarray, nsteps: int, sample_every: int):
+        """Yield (t, n+1 node values) from state (n values) at t = 0 and after every sample_every-th step."""
+        yield 0.0, np.append(state, 0.0)
+        for k in range(nsteps):
+            state = self.step(state, k * self.dt)
+            if (k + 1) % sample_every == 0:
+                yield (k + 1) * self.dt, np.append(state, 0.0)
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -226,6 +236,9 @@ def solve_transient(
         if initial[-1] != 0.0:
             raise ValueError("far-end node value must be exactly zero")
         state = initial[:n].copy()
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     nsteps = round(t_end / dt)
     if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-9 * t_end:
         raise ValueError(f"dt={dt!r} must divide t_end={t_end!r}")
@@ -233,12 +246,6 @@ def solve_transient(
     if not (integral and sample_every >= 1 and nsteps % sample_every == 0):
         raise ValueError(f"sample_every={sample_every!r} must divide the {nsteps} steps")
 
-    stepper = CrankNicolson(system, dt)
-    values = np.zeros((nsteps // sample_every + 1, n + 1))  # the pinned far end stays zero
-    values[0, :n] = state
-    for k in range(nsteps):
-        state = stepper.step(state, k * dt)
-        if (k + 1) % sample_every == 0:
-            values[(k + 1) // sample_every, :n] = state
-    times = np.arange(0, nsteps + 1, sample_every) * dt
-    return Trajectory(times=times, values=values)
+    rows = map(operator.itemgetter(1), CrankNicolson(system, dt).samples(state, nsteps, sample_every))
+    values = np.fromiter(rows, (float, n + 1), nsteps // sample_every + 1)  # map holds no row over a step
+    return Trajectory(times=np.arange(0, nsteps + 1, sample_every) * dt, values=values)

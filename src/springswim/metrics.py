@@ -9,6 +9,7 @@ tables carry no quadrature noise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -138,8 +139,9 @@ def convergence_study(
     """
     if len(n_list) < 1:
         raise ValueError("n_list must not be empty")
-    if steps_per_period < 1:
-        raise ValueError(f"steps_per_period must be >= 1, got {steps_per_period}")
+    integral = isinstance(steps_per_period, numbers.Integral) and not isinstance(steps_per_period, bool)
+    if not (integral and steps_per_period >= 1):
+        raise ValueError(f"steps_per_period must be an integer >= 1, got {steps_per_period!r}")
     mode = build_continuous_mode(params, forcing)
     records = []
     for n in n_list:

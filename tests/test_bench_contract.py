@@ -14,8 +14,11 @@ def test_design_sweep_smoke_run():
     # and m_quad to sweep and optimize_k_omega; tracing.py reads StrokeResult.n
     # and .quadrature_points; oracles.py reads Forcing.L_ref; workloads.py:420
     # calls solve_transient(system, None, t_end, dt, sample_every) positionally
-    # and reads Trajectory.times and .values. tracing.py wraps
-    # metrics.error_vs_analytic by name only, so its signature is free to change
+    # and reads Trajectory.times and .values, which the cli_artifacts check
+    # compares with the streamed simulate --scheme lumped CSV. tracing.py wraps
+    # CrankNicolson.__init__ and .step as class attributes, so its step counts
+    # hold only while CrankNicolson.samples steps through self.step. It wraps
+    # metrics.error_vs_analytic by name only, so that signature is free to change
     result = subprocess.run(
         [
             sys.executable, "bench/run.py", "--workload", "design_sweep", "--seed", "1",

@@ -95,13 +95,25 @@ class TestSimulate:
         code = run(
             [
                 "simulate", "--config", config, "--out", tmp_path,
-                "--scheme", "nspring", "--samples", "7",
+                "--scheme", "nspring", "--samples", "7", "--dt", 2 * math.pi / 1024,
             ]
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "\n" not in err.rstrip("\n")
+        assert err == "error: samples=7 must divide the 1024 time steps; adjust --samples or --dt\n"
+
+    @pytest.mark.parametrize("scheme", ["nspring", "lumped", "galerkin"])
+    def test_bare_stepped_command_uses_its_default_step(self, tmp_path, scheme):
+        # 200 samples: the smallest multiple of 200 that is at least 1024 steps is 1200
+        config = write_config(tmp_path, n_springs=8)
+        assert run(["simulate", "--scheme", scheme, "--config", config, "--out", tmp_path]) == 0
+        _, rows = read_csv(tmp_path / "elongations.csv")
+        params, forcing = load_config(config)
+        system = assemble(params, forcing, MassVariant(scheme))
+        trajectory = solve_transient(system, None, forcing.period, forcing.period / 1200, 6)
+        table = np.column_stack([trajectory.times, trajectory.values])
+        assert len(rows) == 201
+        assert [[float(cell) for cell in row] for row in rows] == table.tolist()
 
 
 def reference_tables(params, forcing, times, ell):
@@ -121,11 +133,17 @@ def time_node_header(params):
 class TestStreamedTables:
     N = 1000  # 32 rows of n + 3 values per block: 201 and 129 rows end in a short block
 
-    @pytest.mark.parametrize("scheme", ["analytic", "nspring", "lumped"])
-    def test_simulate_matches_whole_table_reference(self, tmp_path, scheme):
+    @pytest.mark.parametrize(
+        "scheme, eps_tilde",
+        # at eps_tilde = 0 every sample is zero, and each zero must print with the sign
+        # that the whole-table sums give it
+        [("analytic", 0.7), ("nspring", 0.7), ("lumped", 0.7), ("galerkin", 0.7), ("lumped", 0.0)],
+        ids=["analytic", "nspring", "lumped", "galerkin", "lumped-no-stroke"],
+    )
+    def test_simulate_matches_whole_table_reference(self, tmp_path, scheme, eps_tilde):
         samples = 200 if scheme == "analytic" else 128
         assert samples + 1 > _BLOCK // (self.N + 3) and (samples + 1) % (_BLOCK // (self.N + 3)) != 0
-        config = write_config(tmp_path, n_springs=self.N, eps_tilde=0.7)
+        config = write_config(tmp_path, n_springs=self.N, eps_tilde=eps_tilde)
         argv = ["simulate", "--scheme", scheme, "--samples", samples, "--config", config, "--out", tmp_path]
         assert run(argv) == 0
         params, forcing = load_config(config)
@@ -151,11 +169,12 @@ class TestStreamedTables:
 
     @pytest.mark.parametrize(
         "command, tables",
-        [(["simulate"], 0.5), (["analytic"], 0.5), (["simulate", "--scheme", "lumped"], 1.5)],
+        [(["simulate"], 0.5), (["analytic"], 0.5), (["simulate", "--scheme", "lumped"], 0.5)],
     )
     def test_peak_memory_is_blocks_not_tables(self, tmp_path, command, tables):
-        # a whole-table writer holds about five (samples + 1) x (n + 1) float tables at its peak;
-        # the streamed one holds a block of rows, plus the trajectory of a stepped scheme
+        # a whole-table writer holds about five (samples + 1) x (n + 1) float tables at its peak,
+        # and a stepped run that collects its trajectory first holds one more; the streamed one
+        # holds a block of rows, closed form and stepped alike
         n, samples = 20000, 64
         config = write_config(tmp_path, n_springs=n)
         tracemalloc.start()

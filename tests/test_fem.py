@@ -333,6 +333,12 @@ class TestSolveTransient:
             solve_transient(system, None, 1.0, 0.3)
         with pytest.raises(ValueError, match="sample_every"):
             solve_transient(system, None, 1.0, 0.125, sample_every=3)
+        for t_end, dt, name in [
+            (1.0, 0.0, "dt"), (1.0, -0.25, "dt"), (1.0, math.inf, "dt"), (1.0, math.nan, "dt"),
+            (0.0, 0.25, "t_end"), (-1.0, 0.25, "t_end"), (math.inf, 0.25, "t_end"), (math.nan, 0.25, "t_end"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+                solve_transient(system, None, t_end, dt)
 
     def test_sample_every_integral_types(self):
         params, forcing = default_pair(n_springs=4)

@@ -293,6 +293,17 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="n_list"):
             convergence_study(params, forcing, MassVariant.NSPRING, [])
 
+    def test_step_count_follows_the_integer_rule(self):
+        # the n_springs rule: numpy integers count, booleans and floats do not
+        params, forcing = config_from_mapping({})
+        expected = convergence_study(params, forcing, MassVariant.TRAPEZOID, [25, 50], steps_per_period=64)
+        for steps in (np.int64(64), np.int32(64)):
+            records = convergence_study(params, forcing, MassVariant.TRAPEZOID, [25, 50], steps_per_period=steps)
+            assert records == expected
+        for steps in (2.5, 64.0, True, np.True_):
+            with pytest.raises(ValueError, match="steps_per_period must be an integer"):
+                convergence_study(params, forcing, MassVariant.TRAPEZOID, [25, 50], steps_per_period=steps)
+
     @pytest.mark.parametrize("steps_per_period", [0, -4])
     def test_step_count_below_one_rejected(self, steps_per_period):
         params, forcing = config_from_mapping({})
