@@ -1,17 +1,17 @@
 """Closed-form periodic elongation modes of the passive tail.
 
 Under sinusoidal driving the tail settles onto a single complex harmonic
-mode. Along the spring chain the mode solves a constant-coefficient
-three-term recurrence, so node amplitudes combine powers of the two
-characteristic roots gamma_plus and gamma_minus (with gamma_plus *
-gamma_minus = 1). In the continuous limit the profile is a combination of
-the decaying exp(-r y) and exp(-r (2 Lambda - y)), with r the complex
-diffusion wavenumber. Physical elongations are real parts of
-amplitude * exp(i omega t).
+mode. On the spring chain it solves a three-term recurrence with roots
+exp(+-s), s = 2 asinh(sqrt(c)/2) for c = i/(k_omega n^2), and is written
+with exp and expm1 of multiples of -s alone, so nothing cancels at any
+chain length or stiffness. In the continuous limit the profile combines
+exp(-r y) and exp(-r (2 Lambda - y)), r the complex diffusion wavenumber.
+Physical elongations are real parts of amplitude * exp(i omega t).
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 from dataclasses import dataclass
 
@@ -22,17 +22,16 @@ from .model import Forcing, SwimmerParams, k_omega_of
 
 @dataclass(frozen=True)
 class DiscreteModeShape:
-    """Complex periodic mode of the N-spring chain.
+    """Complex periodic mode of the N-spring chain; Re s > 0, gamma_plus = exp(s) = 1/gamma_minus.
 
-    Node j (1-based, j = 1..n+1) carries amplitude
-    alpha_d*gamma_plus**(j-1) + beta_d*gamma_minus**(j-1). Evaluation uses
-    an equivalent expression with only decaying powers of gamma_minus, so
-    long chains at small k_omega do not overflow.
+    Node j = 0..n carries alpha_d*gamma_plus**j + beta_d*gamma_minus**j, evaluated as
+    b_d * exp(-j s) * expm1(-2 (n - j) s) / expm1(-2 n s): decaying terms only, exactly 0 at j = n.
     """
 
     n: int
     k_omega: float
     omega: float
+    s: complex
     gamma_plus: complex
     gamma_minus: complex
     delta: complex
@@ -47,9 +46,8 @@ class DiscreteModeShape:
 
     @functools.cached_property
     def _amplitudes(self) -> np.ndarray:
-        p = self.gamma_minus ** np.arange(self.n + 1)
-        q = p[self.n] * p[self.n]
-        return self.b_d * (p - p[self.n] * p[::-1]) / (1.0 - q)
+        j = np.arange(self.n + 1)
+        return -self.beta_d * np.exp(-j * self.s) * np.expm1(-2.0 * (self.n - j) * self.s)
 
     def node_values(self, t) -> np.ndarray:
         """Physical elongations at all nodes at time t; an array of times gives one row each.
@@ -65,44 +63,33 @@ class DiscreteModeShape:
 def build_discrete_mode(params: SwimmerParams, forcing: Forcing) -> DiscreteModeShape:
     """Solve the chain recurrence with driven and pinned boundary rows.
 
-    The characteristic roots satisfy gamma^2 - (2 + i/(k_omega n^2))*gamma
-    + 1 = 0; the numerically stable root (no cancellation) is computed
-    first and the other obtained as its reciprocal. Boundary coefficients
-    are rearranged in powers of gamma_minus alone.
+    c = 4 sinh(s/2)^2 makes exp(+-s) the roots of gamma^2 - (2 + c) gamma + 1 = 0. With em =
+    expm1(-2 n s), z_d = exp(-s) expm1(-2 (n-1) s) / em, 1 - z_d = expm1(-s) (1 + exp(-(2n-1) s)) / em
+    and b_d = -(i eps/2)/(n k_omega) / ((1 - z_d) + a_tilde/(2 a1 n) + c), none with cancellation.
+    s is 0 when k_omega n^2 overflows and not finite when c does; then, or when b_d overflows, a
+    ValueError names k_omega and n. The scalars are Python complex numbers: no numpy warnings.
     """
     n = params.n_springs
     k_omega = k_omega_of(params, forcing)
     c = 1j / (k_omega * n * n)
-    root = 0.5 * (c + 2.0 + np.sqrt(c * (c + 4.0)))
-    if abs(root) < 1.0:
-        root = 1.0 / root
-    if not abs(root) > 1.0:
-        raise ValueError("characteristic roots lie on the unit circle; periodic mode is degenerate")
-    gamma_plus = complex(root)
-    gamma_minus = 1.0 / gamma_plus
-    q = gamma_minus ** (2 * n)
-    if abs(1.0 - q) < 1e-12:
-        raise ValueError("pinned-end system is singular: gamma_+^n too close to gamma_-^n")
-    z_d = (gamma_minus - gamma_minus ** (2 * n - 1)) / (1.0 - q)
-    denom = (
-        1j / n
-        + n * k_omega * (1.0 - z_d)
-        + k_omega * params.a_tilde / (2.0 * params.a1)
-    )
-    if abs(denom) == 0.0:
-        raise ValueError("driven-end normalization vanished; cannot build the mode")
-    b_d = -(0.5j * forcing.eps) / denom
+    s = 2.0 * cmath.asinh(cmath.sqrt(c) / 2.0)
+    em = complex(np.expm1(-2.0 * n * s)) or cmath.nan  # 0 only when s is; then b_d is NaN
+    one_minus_z = complex(np.expm1(-s)) * (1.0 + cmath.exp(-(2 * n - 1) * s)) / em
+    b_d = -0.5j * forcing.eps / (n * k_omega) / (one_minus_z + params.a_tilde / (2.0 * params.a1 * n) + c)
+    if not (cmath.isfinite(s) and cmath.isfinite(b_d)):
+        raise ValueError(f"k_omega={k_omega!r}, n={n}: chain mode out of float range (s={s!r}, b_d={b_d!r})")
     return DiscreteModeShape(
         n=n,
         k_omega=k_omega,
         omega=forcing.omega,
-        gamma_plus=gamma_plus,
-        gamma_minus=gamma_minus,
+        s=s,
+        gamma_plus=cmath.exp(s),
+        gamma_minus=cmath.exp(-s),
         delta=c * (c + 4.0),
-        z_d=z_d,
+        z_d=cmath.exp(-s) * complex(np.expm1(-2.0 * (n - 1) * s)) / em,
         b_d=b_d,
-        alpha_d=-q * b_d / (1.0 - q),
-        beta_d=b_d / (1.0 - q),
+        alpha_d=cmath.exp(-2.0 * n * s) * b_d / em,
+        beta_d=-b_d / em,
     )
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .analytic import build_discrete_mode
 from .displacement import instantaneous_v1, optimize_k_omega, sweep
-from .fem import CrankNicolson, MassVariant, assemble
+from .fem import CrankNicolson, MassVariant, assemble, step_count
 from .metrics import RateEstimate, convergence_study, fit_rate
 from .model import Forcing, SwimmerParams, config_from_mapping, load_config
 
@@ -174,6 +174,17 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _node_header(params: SwimmerParams) -> bytes:
+    """The 't,<node positions>' header line of a table of node values."""
+    return b"t," + b"".join(_format((np.arange(params.n_springs + 1) * params.h)[None]))
+
+
+def _closed_form(params: SwimmerParams, forcing: Forcing, t_end: float, samples: int):
+    """The closed-form chain mode and its (t, node values) rows at samples + 1 even times in [0, t_end]."""
+    mode = build_discrete_mode(params, forcing)
+    return mode, ((t, mode.node_values(t)) for t in np.linspace(0.0, t_end, samples + 1))
+
+
 def _row_blocks(samples, width: int):
     """(times, rows) blocks of about _BLOCK values from (t, row) samples whose table rows hold width values."""
     samples, step = iter(samples), max(1, _BLOCK // width)
@@ -209,24 +220,20 @@ def cmd_simulate(args) -> list[Path]:
     t_end = forcing.period if args.t_end is None else args.t_end
 
     if args.scheme == "analytic":
-        mode = build_discrete_mode(params, forcing)
-        samples = ((t, mode.node_values(t)) for t in np.linspace(0.0, t_end, args.samples + 1))
+        _, samples = _closed_form(params, forcing, t_end, args.samples)
     else:
         system = assemble(params, forcing, MassVariant(args.scheme))
-        nsteps = math.ceil(1024 / args.samples) * args.samples if args.dt is None else round(t_end / args.dt)
-        dt = t_end / nsteps if args.dt is None else args.dt
-        if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-9 * t_end:
-            raise ValueError(f"dt={dt!r} must divide t-end={t_end!r}")
+        dt = t_end / (math.ceil(1024 / args.samples) * args.samples) if args.dt is None else args.dt
+        nsteps = step_count(t_end, dt)
         if nsteps % args.samples != 0:
             raise ValueError(
                 f"samples={args.samples} must divide the {nsteps} time steps; adjust --samples or --dt"
             )
         samples = CrankNicolson(system, dt).samples(np.zeros(params.n_springs), nsteps, nsteps // args.samples)
 
-    nodes = np.arange(params.n_springs + 1) * params.h
     elong_path, pos_path = out / "elongations.csv", out / "positions.csv"
     pos_header = ",".join(["t"] + [f"x{j}" for j in range(1, params.n_springs + 3)]) + "\n"
-    headers = {elong_path: b"t," + b"".join(_format(nodes[None])), pos_path: pos_header.encode()}
+    headers = {elong_path: _node_header(params), pos_path: pos_header.encode()}
     _write_csv(headers, _simulation_blocks(params, forcing, _row_blocks(samples, params.n_springs + 3)))
     return [elong_path, pos_path]
 
@@ -334,13 +341,11 @@ def cmd_optimize(args) -> list[Path]:
 def cmd_analytic(args) -> list[Path]:
     params, forcing = _load(args)
     out = _out_dir(args)
-    mode = build_discrete_mode(params, forcing)
-    samples = ((t, mode.node_values(t)) for t in np.linspace(0.0, forcing.period, args.samples + 1))
-    nodes = np.arange(params.n_springs + 1) * params.h
+    mode, samples = _closed_form(params, forcing, forcing.period, args.samples)
     csv_path, json_path = out / "analytic.csv", out / "analytic.json"
     # map, unlike a generator expression, keeps no block alive while its table is written
     blocks = map(lambda block: (np.column_stack(block),), _row_blocks(samples, params.n_springs + 2))
-    _write_csv({csv_path: b"t," + b"".join(_format(nodes[None]))}, blocks)
+    _write_csv({csv_path: _node_header(params)}, blocks)
     payload = {"n": mode.n, "k_omega": mode.k_omega, "omega": mode.omega}
     for name in ("gamma_plus", "gamma_minus", "delta", "z_d", "b_d", "alpha_d", "beta_d"):
         z = getattr(mode, name)  # complex constants go to JSON as [real, imag]

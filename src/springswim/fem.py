@@ -206,6 +206,17 @@ class CrankNicolson:
                 yield (k + 1) * self.dt, np.append(state, 0.0)
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """The number of dt steps in t_end, which dt must divide; np.fromiter counts to sys.maxsize."""
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    nsteps = round(t_end / dt) if t_end / dt <= sys.maxsize else 0  # t_end / dt may overflow to inf
+    if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-9 * t_end:
+        raise ValueError(f"dt={dt!r} must divide t_end={t_end!r} into 1 to sys.maxsize={sys.maxsize} steps")
+    return nsteps
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled transient states; row k holds all node values at times[k]."""
@@ -236,12 +247,7 @@ def solve_transient(
         if initial[-1] != 0.0:
             raise ValueError("far-end node value must be exactly zero")
         state = initial[:n].copy()
-    for name, value in (("t_end", t_end), ("dt", dt)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    nsteps = round(t_end / dt)
-    if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-9 * t_end:
-        raise ValueError(f"dt={dt!r} must divide t_end={t_end!r}")
+    nsteps = step_count(t_end, dt)
     integral = isinstance(sample_every, numbers.Integral) and not isinstance(sample_every, bool)
     if not (integral and sample_every >= 1 and nsteps % sample_every == 0):
         raise ValueError(f"sample_every={sample_every!r} must divide the {nsteps} steps")

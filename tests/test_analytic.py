@@ -2,13 +2,16 @@
 
 import dataclasses
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from springswim.analytic import build_continuous_mode, build_discrete_mode
-from springswim.model import config_from_mapping, k_omega_of, params_for_k_omega
+from springswim.fem import MassVariant, assemble, harmonic_state
+from springswim.model import Forcing, config_from_mapping, k_omega_of, params_for_k_omega
 
 
 def default_pair(**overrides):
@@ -30,6 +33,25 @@ def random_cases(seed, count, n_range=(2, 1500), k_omega_range=(1e-3, 1e3)):
         )
         cases.append((params, forcing))
     return cases
+
+
+def mpmath_amplitudes(params, forcing, nodes, dps=40):
+    """Chain-mode amplitudes at the given 0-based nodes, in dps digits, from the roots of the quadratic.
+
+    An independent form: the larger root from the quadratic formula, its reciprocal, and the
+    driven and pinned rows written with powers of gamma_minus, as the recurrence gives them.
+    """
+    with mpmath.workdps(dps):
+        n = params.n_springs
+        k_omega = mpmath.mpf(k_omega_of(params, forcing))
+        c = mpmath.mpc(0, 1) / (k_omega * n * n)
+        gamma_minus = 1 / ((2 + c + mpmath.sqrt(c * (c + 4))) / 2)
+        q = gamma_minus ** (2 * n)
+        z_d = (gamma_minus - gamma_minus ** (2 * n - 1)) / (1 - q)
+        ratio = mpmath.mpf(params.a_tilde) / (2 * mpmath.mpf(params.a1))
+        denom = mpmath.mpc(0, 1) / n + n * k_omega * (1 - z_d) + k_omega * ratio
+        b_d = -(mpmath.mpc(0, 1) * mpmath.mpf(forcing.eps) / 2) / denom
+        return [complex(b_d * (gamma_minus**j - gamma_minus ** (2 * n - j)) / (1 - q)) for j in nodes]
 
 
 class TestDiscreteRoots:
@@ -165,6 +187,49 @@ class TestDiscreteMode:
         for j in range(1, mode.n + 2):
             amp = mode.alpha_d * mode.gamma_plus ** (j - 1) + mode.beta_d * mode.gamma_minus ** (j - 1)
             assert (amp * phase).real == pytest.approx(values[j - 1], rel=1e-10, abs=1e-12 * scale)
+
+
+class TestClosedFormRange:
+    def test_amplitudes_match_40_digit_reference(self):
+        # long, stiff chains are where powers of gamma_minus lose digits (3e-8 at n = 1e5, k_omega = 1e8)
+        base, forcing = default_pair()
+        errors = {}
+        for n in (1, 2, 2000, 50000, 100000):
+            for k_omega in (1e-8, 0.28, 1e3, 1e8):
+                params = params_for_k_omega(dataclasses.replace(base, n_springs=n), forcing, k_omega)
+                amps = build_discrete_mode(params, forcing).node_amplitudes()
+                nodes = sorted({0, 1, n // 3, n // 2, n - 1})
+                reference = mpmath_amplitudes(params, forcing, nodes)
+                gap = max(abs(amps[j] - ref) for j, ref in zip(nodes, reference))
+                errors[n, k_omega] = gap / np.max(np.abs(amps))
+        worst = max(errors, key=errors.get)
+        assert errors[worst] <= 1e-14, (worst, errors[worst])
+
+    @pytest.mark.parametrize("n", [1, 300])
+    def test_stiff_chain_matches_banded_solve(self, n):
+        # k_omega = 1e25: 1 - gamma_minus**(2n) is below 1e-12, so the roots alone cannot pin the far end
+        params, forcing = default_pair(n_springs=n)
+        params = params_for_k_omega(params, forcing, 1e25)
+        amps = build_discrete_mode(params, forcing).node_amplitudes()
+        banded = harmonic_state(assemble(params, forcing, MassVariant.NSPRING))
+        assert np.all(np.isfinite(amps)) and amps[-1] == 0.0
+        assert np.max(np.abs(amps[:-1] - banded)) <= 1e-12 * np.max(np.abs(amps))
+
+    def test_out_of_float_range_raises(self):
+        base, forcing = default_pair()
+        # k_omega n^2 overflows, so c = i/(k_omega n^2) is 0 and so is s
+        stiff = params_for_k_omega(dataclasses.replace(base, n_springs=100000), forcing, 1e300)
+        # k_omega ~ 6e-310 makes c overflow, and s is not finite
+        fast = Forcing(eps_tilde=forcing.eps_tilde, omega=1e308, L_ref=forcing.L_ref)
+        # s is fine, but an arm of 1e307 m drives b_d past the largest double
+        long_arm = Forcing(eps_tilde=0.99, omega=forcing.omega, L_ref=1e307)
+        soft = params_for_k_omega(dataclasses.replace(base, n_springs=100000), long_arm, 1e-4)
+        cases = ((stiff, forcing), (dataclasses.replace(base, n_springs=1), fast), (soft, long_arm))
+        for params, forcing in cases:
+            k_omega = k_omega_of(params, forcing)
+            message = f"k_omega={k_omega!r}, n={params.n_springs}: chain mode out of float range"
+            with pytest.raises(ValueError, match="^" + re.escape(message)):
+                build_discrete_mode(params, forcing)
 
 
 class TestContinuousMode:

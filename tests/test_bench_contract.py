@@ -18,7 +18,11 @@ def test_design_sweep_smoke_run():
     # compares with the streamed simulate --scheme lumped CSV. tracing.py wraps
     # CrankNicolson.__init__ and .step as class attributes, so its step counts
     # hold only while CrankNicolson.samples steps through self.step. It wraps
-    # metrics.error_vs_analytic by name only, so that signature is free to change
+    # metrics.error_vs_analytic by name only, so that signature is free to change.
+    # workloads.py calls analytic.build_discrete_mode(params, forcing), reads the
+    # seven DiscreteModeShape constants gamma_plus, gamma_minus, delta, z_d, b_d,
+    # alpha_d and beta_d and calls node_amplitudes(); tracing.py wraps
+    # build_discrete_mode and DiscreteModeShape.node_amplitudes by name
     result = subprocess.run(
         [
             sys.executable, "bench/run.py", "--workload", "design_sweep", "--seed", "1",

@@ -16,8 +16,8 @@ from springswim import cli
 from springswim.analytic import build_discrete_mode
 from springswim.cli import _BLOCK, _SLICE, _format, _write_csv, main
 from springswim.displacement import instantaneous_v1
-from springswim.fem import MassVariant, assemble, solve_transient
-from springswim.model import load_config
+from springswim.fem import MassVariant, assemble, harmonic_state, solve_transient
+from springswim.model import DEFAULTS, load_config
 
 
 def run(argv):
@@ -101,6 +101,13 @@ class TestSimulate:
         assert code == 1
         err = capsys.readouterr().err
         assert err == "error: samples=7 must divide the 1024 time steps; adjust --samples or --dt\n"
+
+    def test_step_count_past_the_index_limit_fails_cleanly(self, tmp_path, capsys):
+        config = write_config(tmp_path, n_springs=8)
+        code = run(["simulate", "--config", config, "--out", tmp_path, "--scheme", "nspring", "--dt", "1e-300"])
+        assert code == 1
+        expected = f"dt=1e-300 must divide t_end={2 * math.pi!r} into 1 to sys.maxsize={sys.maxsize} steps"
+        assert capsys.readouterr().err == f"error: {expected}\n"
 
     @pytest.mark.parametrize("scheme", ["nspring", "lumped", "galerkin"])
     def test_bare_stepped_command_uses_its_default_step(self, tmp_path, scheme):
@@ -512,6 +519,20 @@ class TestAnalytic:
             rows = (tmp_path / name).read_text().splitlines()[1:]
             assert len(rows) == 201
             assert {row.rsplit(",", 1)[1] for row in rows} == {"0"}, name
+
+    @pytest.mark.parametrize("n", [1, 300])
+    def test_stiff_chain_is_computed(self, tmp_path, n):
+        # k_omega = 1e25: both closed-form commands write what the banded solve computes
+        k_tilde = 1e25 * 6.0 * math.pi * DEFAULTS["mu"] * DEFAULTS["a_tilde"] * DEFAULTS["omega"]
+        config = write_config(tmp_path, n_springs=n, k_tilde=k_tilde)
+        assert run(["analytic", "--config", config, "--out", tmp_path]) == 0
+        assert run(["simulate", "--config", config, "--out", tmp_path]) == 0
+        params, forcing = load_config(config)
+        banded = harmonic_state(assemble(params, forcing, MassVariant.NSPRING))
+        for name in ("analytic.csv", "elongations.csv"):
+            _, rows = read_csv(tmp_path / name)
+            first = np.array([float(cell) for cell in rows[0][1:]])
+            assert np.max(np.abs(first[:-1] - banded.real)) <= 1e-12 * np.max(np.abs(banded)), name
 
     def test_mode_constants(self, tmp_path):
         config = write_config(tmp_path, n_springs=20)

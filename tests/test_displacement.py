@@ -445,7 +445,7 @@ class TestSweep:
 
     def test_stiff_springs_on_the_asymptote(self):
         # the drift of stiff springs falls as 1/k_omega; up to 1e30 the banded solve
-        # stays on that line, where the closed-form chain mode had degenerate roots
+        # stays on that line (the closed-form chain mode covers 1e25 too, see test_analytic)
         params, forcing = default_pair(n_springs=300, eps_tilde=0.4)
         values = [1e8, 1e20, 1e25, 1e30]
         table = sweep(params, forcing, "k_omega", values)

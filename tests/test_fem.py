@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from springswim.fem import (
     assemble,
     harmonic_state,
     solve_transient,
+    step_count,
 )
 from springswim.model import config_from_mapping, params_for_k_omega
 
@@ -339,6 +342,18 @@ class TestSolveTransient:
         ]:
             with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
                 solve_transient(system, None, t_end, dt)
+
+    def test_rejects_step_counts_past_the_index_limit(self):
+        # t_end / dt overflows, or its count does not fit the index np.fromiter fills
+        params, forcing = default_pair(n_springs=4)
+        system = assemble(params, forcing, MassVariant.NSPRING)
+        for t_end, dt in [(1e300, 1e-10), (1.0, 1e-300), (2.0**63, 1.0)]:
+            message = f"dt={dt!r} must divide t_end={t_end!r} into 1 to sys.maxsize={sys.maxsize} steps"
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                solve_transient(system, None, t_end, dt)
+
+    def test_step_count_below_the_index_limit(self):
+        assert step_count(2.0**62, 1.0) == 2**62  # counted, never stepped
 
     def test_sample_every_integral_types(self):
         params, forcing = default_pair(n_springs=4)
