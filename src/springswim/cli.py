@@ -27,7 +27,7 @@ from .analytic import build_discrete_mode
 from .displacement import instantaneous_v1, optimize_k_omega, sweep
 from .fem import CrankNicolson, MassVariant, assemble, step_count
 from .metrics import RateEstimate, convergence_study, fit_rate
-from .model import Forcing, SwimmerParams, config_from_mapping, load_config
+from .model import Forcing, SwimmerParams, config_from_mapping, load_config, positive_count, positive_real
 
 
 def _split(x):
@@ -276,9 +276,8 @@ def cmd_sweep(args) -> list[Path]:
     params, forcing = _load(args)
     out = _out_dir(args)
     if args.log:
-        if not (args.start > 0 and args.stop > 0):
-            raise ValueError("log spacing needs positive endpoints")
-        values = np.logspace(math.log10(args.start), math.log10(args.stop), args.points)
+        start, stop = positive_real("--from", args.start), positive_real("--to", args.stop)
+        values = np.logspace(math.log10(start), math.log10(stop), args.points)
     else:
         values = np.linspace(args.start, args.stop, args.points)
     table = sweep(params, forcing, args.axis, values)
@@ -304,18 +303,8 @@ def cmd_sweep(args) -> list[Path]:
             "displacement_m": float(displacements[best]),
         }
     else:
-        ok = [
-            (v, abs(d))
-            for v, d in zip(table.values, displacements)
-            if v > 0 and math.isfinite(d) and d != 0.0
-        ]
-        if len(ok) >= 2:
-            slope = float(
-                np.polyfit(np.log([v for v, _ in ok]), np.log([m for _, m in ok]), 1)[0]
-            )
-        else:
-            slope = None
-        payload["log_log_slope"] = slope
+        ok = [(v, abs(d)) for v, d in zip(table.values, displacements) if v > 0 and math.isfinite(d) and d != 0.0]
+        payload["log_log_slope"] = float(np.polyfit(*map(np.log, zip(*ok)), 1)[0]) if len(ok) >= 2 else None
     json_path = out / f"sweep_{args.axis}.json"
     _write_json(json_path, payload)
     return [csv_path, json_path]
@@ -354,11 +343,16 @@ def cmd_analytic(args) -> list[Path]:
     return [csv_path, json_path]
 
 
+def _argument(check, value):
+    """value through a model check; its error becomes argparse's one-line error, exit code 2."""
+    try:
+        return check("value", value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
+    return _argument(positive_count, int(text))
 
 
 def grid_sizes(text: str) -> list[int]:
@@ -369,10 +363,7 @@ def grid_sizes(text: str) -> list[int]:
 
 
 def positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
+    return _argument(positive_real, float(text))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .analytic import build_continuous_mode
 from .fem import MassVariant, assemble, harmonic_state
-from .model import Forcing, SwimmerParams, params_for_k_omega
+from .model import Forcing, SwimmerParams, params_for_k_omega, positive_real
 
 SWEEP_AXES = ("eps_tilde", "k_omega")
 
@@ -50,12 +50,6 @@ class SweepTable:
     values: tuple[float, ...]
     results: tuple[StrokeResult | None, ...]
     failures: tuple[str | None, ...]
-
-    def __post_init__(self) -> None:
-        if self.axis not in SWEEP_AXES:
-            raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
-        if not (len(self.values) == len(self.results) == len(self.failures)):
-            raise ValueError("values, results and failures must align")
 
     def displacements(self) -> np.ndarray:
         """Displacement per point, NaN where the point failed."""
@@ -216,22 +210,18 @@ def sweep(
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    values = tuple(float(v) for v in values)
+    values = tuple(values)
+    if axis == "eps_tilde":  # every point's Forcing or retuned params checks its value here
+        points = [(params, dc_replace(forcing, eps_tilde=v)) for v in values]
+    else:
+        points = [(params_for_k_omega(params, forcing, v), forcing) for v in values]
+    values = tuple(map(float, values))
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("sweep values must be strictly increasing")
-    for v in values:
-        if axis == "eps_tilde" and not 0.0 <= v < 1.0:
-            raise ValueError(f"eps_tilde value {v!r} outside [0, 1)")
-        if axis == "k_omega" and not v > 0.0:
-            raise ValueError(f"k_omega value {v!r} must be positive")
 
     results: list[StrokeResult | None] = []
     failures: list[str | None] = []
-    for v in values:
-        if axis == "eps_tilde":
-            point_params, point_forcing = params, dc_replace(forcing, eps_tilde=v)
-        else:
-            point_params, point_forcing = params_for_k_omega(params, forcing, v), forcing
+    for point_params, point_forcing in points:
         try:
             results.append(stroke_displacement_discrete(point_params, point_forcing))
             failures.append(None)
@@ -256,11 +246,10 @@ def optimize_k_omega(
     of the returned k_omega; one below the float spacing there is an error.
     m_quad is ignored, as in stroke_displacement_discrete.
     """
-    lo, hi = bracket
-    if not (0.0 < lo < hi < math.inf):
-        raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket!r}")
-    if not 0.0 < rel_tol < math.inf:
-        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
+    lo, hi = (positive_real("bracket", end) for end in bracket)
+    if not lo < hi:
+        raise ValueError(f"bracket must satisfy lo < hi, got {bracket!r}")
+    rel_tol = positive_real("rel_tol", rel_tol)
 
     def objective(u: float) -> float:
         point = params_for_k_omega(params, forcing, math.exp(u))

@@ -26,7 +26,6 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
-import numbers
 import operator
 import os
 import sys
@@ -35,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import Forcing, SwimmerParams
+from .model import Forcing, SwimmerParams, positive_count, positive_real
 
 
 class MassVariant(Enum):
@@ -101,29 +100,45 @@ def assemble(params: SwimmerParams, forcing: Forcing, variant: MassVariant) -> A
     )
 
 
+class _FlapackOnScipyLinalg:
+    """Meta path finder: a scipy.linalg imported after _lapack() gets its _flapack attribute before
+    its init runs. The import system sets it only on a submodule that it loads itself."""
+
+    def find_spec(self, name, path, target=None):
+        if name != "scipy.linalg":
+            return None
+        sys.meta_path.remove(self)
+        spec = importlib.util.find_spec(name)
+        init = spec.loader.exec_module
+
+        def exec_module(module):
+            module._flapack = sys.modules["scipy.linalg._flapack"]
+            init(module)
+
+        spec.loader.exec_module = exec_module
+        return spec
+
+
 @functools.cache
 def _lapack():
     """scipy.linalg._flapack, the compiled LAPACK wrappers, without scipy.linalg's package init.
 
-    The module is registered in sys.modules under its own name, so a later
-    import of scipy.linalg reuses the same object, and an earlier one is
-    reused here.
+    It is registered in sys.modules under its own name: an earlier import of scipy.linalg is
+    reused here, and a later one reuses it and gets it as scipy.linalg._flapack.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
     package = importlib.util.find_spec("scipy")
-    roots = list(package.submodule_search_locations) if package is not None else []
-    for root in roots:
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "linalg", "_flapack" + suffix)
-            if os.path.isfile(path):
-                spec = importlib.util.spec_from_file_location(name, path)
-                module = importlib.util.module_from_spec(spec)
-                spec.loader.exec_module(module)
-                sys.modules[name] = module
-                return module
-    raise ImportError(f"cannot find the extension module {name} under {roots}")
+    roots = [os.path.join(root, "linalg") for root in package.submodule_search_locations] if package else []
+    spec = importlib.machinery.PathFinder.find_spec(name, roots)
+    if spec is None:
+        raise ImportError(f"cannot find the extension module {name} under {roots}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    sys.meta_path.insert(0, _FlapackOnScipyLinalg())  # scipy.linalg is not imported, or it had loaded this
+    return module
 
 
 def harmonic_state(system: AssembledSystem) -> np.ndarray:
@@ -165,9 +180,7 @@ class CrankNicolson:
     """
 
     def __init__(self, system: AssembledSystem, dt: float):
-        if not (np.isfinite(dt) and dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {dt!r}")
-        self.dt = dt
+        self.dt = dt = positive_real("dt", dt)
         self._omega = omega = system.forcing.omega
         half = 0.5 * dt
         g = half * system.load_amplitude * (1.0 + complex(math.cos(omega * dt), math.sin(omega * dt)))
@@ -208,9 +221,7 @@ class CrankNicolson:
 
 def step_count(t_end: float, dt: float) -> int:
     """The number of dt steps in t_end, which dt must divide; np.fromiter counts to sys.maxsize."""
-    for name, value in (("t_end", t_end), ("dt", dt)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    t_end, dt = positive_real("t_end", t_end), positive_real("dt", dt)
     nsteps = round(t_end / dt) if t_end / dt <= sys.maxsize else 0  # t_end / dt may overflow to inf
     if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-9 * t_end:
         raise ValueError(f"dt={dt!r} must divide t_end={t_end!r} into 1 to sys.maxsize={sys.maxsize} steps")
@@ -247,9 +258,8 @@ def solve_transient(
         if initial[-1] != 0.0:
             raise ValueError("far-end node value must be exactly zero")
         state = initial[:n].copy()
-    nsteps = step_count(t_end, dt)
-    integral = isinstance(sample_every, numbers.Integral) and not isinstance(sample_every, bool)
-    if not (integral and sample_every >= 1 and nsteps % sample_every == 0):
+    nsteps, sample_every = step_count(t_end, dt), positive_count("sample_every", sample_every)
+    if nsteps % sample_every != 0:
         raise ValueError(f"sample_every={sample_every!r} must divide the {nsteps} steps")
 
     rows = map(operator.itemgetter(1), CrankNicolson(system, dt).samples(state, nsteps, sample_every))

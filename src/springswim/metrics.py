@@ -9,14 +9,13 @@ tables carry no quadrature noise.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
 from .analytic import ContinuousModeShape, build_continuous_mode
 from .fem import MassVariant, assemble, harmonic_state, solve_transient
-from .model import Forcing, SwimmerParams
+from .model import Forcing, SwimmerParams, positive_count
 
 
 @dataclass(frozen=True)
@@ -139,9 +138,7 @@ def convergence_study(
     """
     if len(n_list) < 1:
         raise ValueError("n_list must not be empty")
-    integral = isinstance(steps_per_period, numbers.Integral) and not isinstance(steps_per_period, bool)
-    if not (integral and steps_per_period >= 1):
-        raise ValueError(f"steps_per_period must be an integer >= 1, got {steps_per_period!r}")
+    steps_per_period = positive_count("steps_per_period", steps_per_period)
     mode = build_continuous_mode(params, forcing)
     records = []
     for n in n_list:

@@ -10,6 +10,7 @@ aggregate drag and aggregate compliance as it is refined.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -31,6 +32,31 @@ DEFAULTS = {
 }
 
 _PARAM_KEYS = ("a_tilde", "a1", "Lambda", "k_tilde", "mu", "n_springs")
+
+
+@functools.cache  # by type: isinstance against an ABC would be most of the cost of a check
+def _is_number_type(cls: type, kind=numbers.Real) -> bool:
+    """Whether cls is a number type of the kind; bool is an int subclass, but JSON true is not 1."""
+    return issubclass(cls, kind) and not issubclass(cls, bool)  # np.bool_ is no numbers.Real
+
+
+def positive_real(name: str, value) -> float:
+    """value as a Python float if it is a real number whose float is positive and finite: the one
+    check of every positive input and derived rate. A float32 cannot then lower later precision."""
+    try:
+        number = float(value) if _is_number_type(type(value)) else math.nan
+    except OverflowError:  # an int past the float range
+        number = math.inf
+    if 0.0 < number < math.inf:
+        return number
+    raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def positive_count(name: str, value) -> int:
+    """value as a Python int, if it is an integer (numpy integers too) of at least 1."""
+    if _is_number_type(type(value), numbers.Integral) and value >= 1:
+        return int(value)
+    raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,14 +82,9 @@ class SwimmerParams:
 
     def __post_init__(self) -> None:
         for name in ("a_tilde", "a1", "Lambda", "k_tilde", "mu"):
-            value = getattr(self, name)
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)  # JSON true is not 1
-            if not (number and math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        n = self.n_springs
-        if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
-            raise ValueError(f"n_springs must be an integer >= 1, got {n!r}")
-        object.__setattr__(self, "n_springs", int(n))  # a numpy integer is stored as int
+            object.__setattr__(self, name, positive_real(name, getattr(self, name)))
+        object.__setattr__(self, "n_springs", positive_count("n_springs", self.n_springs))
+        positive_real("relaxation_rate", self.relaxation_rate)  # K can under- or overflow
 
     @property
     def h(self) -> float:
@@ -72,8 +93,9 @@ class SwimmerParams:
 
     @property
     def relaxation_rate(self) -> float:
-        """Elastic relaxation rate k_tilde / (6 pi mu a_tilde), in 1/s."""
-        return self.k_tilde / (6.0 * math.pi * self.mu * self.a_tilde)
+        """Elastic relaxation rate k_tilde / (6 pi mu a_tilde), in 1/s; inf where the drag underflows."""
+        drag = 6.0 * math.pi * self.mu * self.a_tilde
+        return self.k_tilde / drag if drag else math.inf
 
 
 @dataclass(frozen=True)
@@ -88,16 +110,11 @@ class Forcing:
     L_ref: float
 
     def __post_init__(self) -> None:
-        for name in ("eps_tilde", "omega", "L_ref"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):  # JSON true is not 1
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if not (0.0 <= self.eps_tilde < 1.0):
-            raise ValueError(f"eps_tilde must lie in [0, 1), got {self.eps_tilde!r}")
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
-        if not (math.isfinite(self.L_ref) and self.L_ref > 0):
-            raise ValueError(f"L_ref must be positive and finite, got {self.L_ref!r}")
+        if not (_is_number_type(type(self.eps_tilde)) and 0.0 <= self.eps_tilde < 1.0):
+            raise ValueError(f"eps_tilde must be a real number in [0, 1), got {self.eps_tilde!r}")
+        object.__setattr__(self, "eps_tilde", float(self.eps_tilde))
+        for name in ("omega", "L_ref"):
+            object.__setattr__(self, name, positive_real(name, getattr(self, name)))
 
     @property
     def eps(self) -> float:
@@ -121,15 +138,14 @@ def k_omega_of(params: SwimmerParams, forcing: Forcing) -> float:
     """k_omega = K/omega, the relaxation rate K = k_tilde/(6 pi mu a_tilde) in driving periods.
 
     It is the single dimensionless group driving the stroke shape once the geometry is fixed.
+    A K/omega that under- or overflows the float range raises the ValueError of positive_real.
     """
-    return params.relaxation_rate / forcing.omega
+    return positive_real("k_omega", params.relaxation_rate / forcing.omega)
 
 
 def params_for_k_omega(params: SwimmerParams, forcing: Forcing, k_omega: float) -> SwimmerParams:
     """Return params with k_tilde retuned so that relaxation_rate/omega == k_omega."""
-    if not (isinstance(k_omega, (int, float)) and math.isfinite(k_omega) and k_omega > 0):
-        raise ValueError(f"k_omega must be positive and finite, got {k_omega!r}")
-    k_tilde = k_omega * 6.0 * math.pi * params.mu * params.a_tilde * forcing.omega
+    k_tilde = positive_real("k_omega", k_omega) * 6.0 * math.pi * params.mu * params.a_tilde * forcing.omega
     return replace(params, k_tilde=k_tilde)
 
 
@@ -139,12 +155,8 @@ def config_from_mapping(raw: dict) -> tuple[SwimmerParams, Forcing]:
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     merged = {**DEFAULTS, **raw}
-    n = merged["n_springs"]
-    if isinstance(n, float):
-        # JSON has no integer type; accept integral floats
-        if n != int(n):
-            raise ValueError(f"n_springs must be an integer, got {n!r}")
-        merged["n_springs"] = int(n)
+    if isinstance(merged["n_springs"], float) and merged["n_springs"].is_integer():
+        merged["n_springs"] = int(merged["n_springs"])  # JSON has no integer type
     params = SwimmerParams(**{key: merged[key] for key in _PARAM_KEYS})
     forcing = Forcing(eps_tilde=merged["eps_tilde"], omega=merged["omega"], L_ref=merged["L"])
     return params, forcing

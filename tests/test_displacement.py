@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from springswim import displacement
@@ -397,10 +399,6 @@ class TestSweep:
         sweep(params, forcing, "k_omega", [0.1, 1.0, 10.0])
         assert len(calls) == 3  # the counter sees the sweep's kernel calls
 
-    def test_table_alignment_enforced(self):
-        with pytest.raises(ValueError, match="align"):
-            SweepTable(axis="k_omega", values=(1.0,), results=(), failures=(None,))
-
     def test_backward_swimming_across_stiffness_range(self):
         # sign property: every sampled stiffness yields negative drift
         params, forcing = default_pair(n_springs=200)
@@ -459,6 +457,25 @@ class TestSweep:
             table.argbest()
 
 
+class TestWholeBox:
+    """North star 3's box: n in [1, 1e5], k_omega in [1e-8, 1e8], eps_tilde in [0, 0.999]."""
+
+    @settings(max_examples=60)
+    @given(
+        n=st.floats(0.0, 5.0).map(lambda u: round(10.0**u)),  # log-uniform
+        k_omega=st.floats(-8.0, 8.0).map(lambda u: 10.0**u),
+        eps_tilde=st.floats(0.0, 0.999),
+    )
+    def test_drift_is_finite_or_raises(self, n, k_omega, eps_tilde):
+        # a numpy warning is an error in this suite, so a quiet overflow or NaN fails here too
+        params, forcing = default_pair(n_springs=n, eps_tilde=eps_tilde)
+        try:
+            result = stroke_displacement_discrete(params_for_k_omega(params, forcing, k_omega), forcing)
+        except ValueError:
+            return
+        assert type(result.displacement) is float and math.isfinite(result.displacement)
+
+
 class TestOptimize:
     def test_finds_the_sweep_peak(self):
         params, forcing = default_pair()
@@ -494,10 +511,10 @@ class TestOptimize:
 
     def test_bracket_validation(self):
         params, forcing = default_pair()
-        with pytest.raises(ValueError, match="bracket"):
+        with pytest.raises(ValueError, match=r"^bracket must satisfy lo < hi, got \(1\.0, 0\.1\)$"):
             optimize_k_omega(params, forcing, bracket=(1.0, 0.1))
-        for bracket in ((1e-2, math.inf), (1e-2, math.nan), (0.0, 1e2)):
-            with pytest.raises(ValueError, match="bracket must satisfy"):
+        for bracket, bad in (((1e-2, math.inf), "inf"), ((1e-2, math.nan), "nan"), ((0.0, 1e2), "0.0")):
+            with pytest.raises(ValueError, match=f"^bracket must be positive and finite, got {bad}$"):
                 optimize_k_omega(params, forcing, bracket=bracket)
         for rel_tol in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="rel_tol must be positive and finite"):
