@@ -7,7 +7,8 @@ surviving term is one harmonic over a constant plus one harmonic, whose
 period mean has a closed form, so the discrete drift is exact and O(n)
 with no time grid. The continuous-tail limit uses the same closed-form
 mean at each point of the tail, and a fixed Gauss rule graded toward the
-driven end integrates it over y.
+driven end integrates it over y. At fixed k_omega the drift is
+a_tilde * F(n, k_omega, eps_tilde, a_tilde/a1, Lambda/L), five groups.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ treatments: the consistent P1 matrix, its trapezoid-lumped diagonal, or
 the uniform diagonal diag(h, ..., h) under which the finite element
 system coincides with the bead-spring chain exactly. The load acts on
 the driven node alone. Crank-Nicolson factors its tridiagonal left
-matrix once (LAPACK LDL^T), so a step is one three-point convolve and
+matrix once (LAPACK LDL^T), so a step is one three-point correlate and
 one O(n) solve. CrankNicolson.samples is the one stepping loop: it
 yields sampled rows one at a time, which solve_transient collects.
 
@@ -174,9 +174,10 @@ class CrankNicolson:
     The left matrix is symmetric positive definite tridiagonal; it is
     factored once as L D L^T (LAPACK dpttrf). Every assembled M - dt/2 A
     has one interior diagonal value and one off-diagonal value, with only
-    row 0 different, so a step is one convolve with the three-point
+    row 0 different, so a step is one correlate with the three-point
     stencil, a row-0 correction that carries the load, and one O(n)
-    dpttrs solve.
+    dpttrs solve. np.convolve would reverse the stencil first; as it is
+    symmetric, both form the same products and sums in the same order.
     """
 
     def __init__(self, system: AssembledSystem, dt: float):
@@ -202,21 +203,22 @@ class CrankNicolson:
         self._dpttrs = lapack.dpttrs
 
     def step(self, state: np.ndarray, t: float) -> np.ndarray:
-        # the full convolution's middle n entries are the stencil rows with zero outside
-        rhs = np.convolve(state, self._stencil)[1:-1]
+        # the full correlation's middle n entries are the stencil rows with zero outside
+        rhs = np.correlate(state, self._stencil, "full")[1:-1]
         rhs[0] += self._corner * state[0] + self._load_abs * math.cos(self._omega * t + self._load_arg)
-        u, info = self._dpttrs(self._d, self._e, rhs, overwrite_b=True)
+        u, info = self._dpttrs(self._d, self._e, rhs, True)  # overwrite_b, passed positionally
         if info != 0:
             raise np.linalg.LinAlgError(f"tridiagonal solve failed (dpttrs info={info})")
         return u
 
     def samples(self, state: np.ndarray, nsteps: int, sample_every: int):
         """Yield (t, n+1 node values) from state (n values) at t = 0 and after every sample_every-th step."""
+        step, dt = self.step, self.dt
         yield 0.0, np.append(state, 0.0)
-        for k in range(nsteps):
-            state = self.step(state, k * self.dt)
-            if (k + 1) % sample_every == 0:
-                yield (k + 1) * self.dt, np.append(state, 0.0)
+        for end in range(sample_every, nsteps + 1, sample_every):
+            for k in range(end - sample_every, end):
+                state = step(state, k * dt)
+            yield end * dt, np.append(state, 0.0)
 
 
 def step_count(t_end: float, dt: float) -> int:

@@ -163,9 +163,12 @@ def config_from_mapping(raw: dict) -> tuple[SwimmerParams, Forcing]:
 
 
 def load_config(path) -> tuple[SwimmerParams, Forcing]:
-    """Read a JSON parameter file (see DEFAULTS for the key set)."""
+    """Read a JSON parameter file (see DEFAULTS for the key set); a malformed or non-object file is named."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # malformed JSON or undecodable bytes
+            raise ValueError(f"config {path}: {exc}") from None
     if not isinstance(raw, dict):
-        raise ValueError("config root must be a JSON object")
+        raise ValueError(f"config {path}: root must be a JSON object")
     return config_from_mapping(raw)

@@ -1,4 +1,4 @@
-"""The benchmark's calls into the package still work: a tiny traced design_sweep run."""
+"""The benchmark's calls into the package still work: a tiny traced run of each workload."""
 
 import json
 import subprocess
@@ -6,6 +6,22 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def smoke_summary(workload):
+    """The JSON summary of a one-second traced --smoke run of the workload, seed 1."""
+    result = subprocess.run(
+        [
+            sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+            "--seconds", "1", "--trace", "1", "--smoke",
+        ],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.strip().splitlines()[-1])
 
 
 def test_design_sweep_smoke_run():
@@ -17,24 +33,14 @@ def test_design_sweep_smoke_run():
     # and reads Trajectory.times and .values, which the cli_artifacts check
     # compares with the streamed simulate --scheme lumped CSV. tracing.py wraps
     # CrankNicolson.__init__ and .step as class attributes, so its step counts
-    # hold only while CrankNicolson.samples steps through self.step. It wraps
+    # hold only while CrankNicolson.samples steps through self.step, which
+    # test_fem_convergence_smoke_run pins by the traced step count. It wraps
     # metrics.error_vs_analytic by name only, so that signature is free to change.
     # workloads.py calls analytic.build_discrete_mode(params, forcing), reads the
     # seven DiscreteModeShape constants gamma_plus, gamma_minus, delta, z_d, b_d,
     # alpha_d and beta_d and calls node_amplitudes(); tracing.py wraps
     # build_discrete_mode and DiscreteModeShape.node_amplitudes by name
-    result = subprocess.run(
-        [
-            sys.executable, "bench/run.py", "--workload", "design_sweep", "--seed", "1",
-            "--seconds", "1", "--trace", "1", "--smoke",
-        ],
-        cwd=ROOT,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert result.returncode == 0, result.stderr
-    summary = json.loads(result.stdout.strip().splitlines()[-1])
+    summary = smoke_summary("design_sweep")
     assert summary["correct"] is True
     metrics = {name: entry["value"] for name, entry in summary["metrics"].items()}
     assert metrics["displacement.stroke_displacement_discrete.cells"] > 0
@@ -55,17 +61,15 @@ def test_cli_artifacts_smoke_run():
     # the benchmark reads every CSV the CLI writes and checks it against the library
     # (%.17g header and first row, values within tolerance); a writer change that
     # breaks those checks fails here before it fails the benchmark
-    result = subprocess.run(
-        [
-            sys.executable, "bench/run.py", "--workload", "cli_artifacts", "--seed", "1",
-            "--seconds", "1", "--trace", "1", "--smoke",
-        ],
-        cwd=ROOT,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert result.returncode == 0, result.stderr
-    summary = json.loads(result.stdout.strip().splitlines()[-1])
+    summary = smoke_summary("cli_artifacts")
     assert summary["correct"] is True
     assert summary["failed"] == 0
+
+
+def test_fem_convergence_smoke_run():
+    # two stepped variants (lumped, galerkin) x SMOKE's four grid sizes x 2048 steps per
+    # period; every step must be a call through the wrapped class attribute CrankNicolson.step
+    summary = smoke_summary("fem_convergence")
+    assert summary["correct"] is True
+    metrics = {name: entry["value"] for name, entry in summary["metrics"].items()}
+    assert metrics["fem.CrankNicolson.step.calls"] == metrics["fem.solve_transient.steps"] == 2 * 4 * 2048

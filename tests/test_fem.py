@@ -288,6 +288,37 @@ class TestCrankNicolson:
         ratio = orbit_error(128) / orbit_error(256)
         assert 3.5 <= ratio <= 4.5
 
+    @pytest.mark.parametrize("nsteps, sample_every", [(64, 1), (64, 16), (10, 3), (1, 1)])
+    @pytest.mark.parametrize("n", [1, 2, 9, 200])
+    @pytest.mark.parametrize("variant", list(MassVariant), ids=lambda variant: variant.value)
+    def test_samples_bit_equal_to_convolve_loop(self, variant, n, nsteps, sample_every):
+        params, forcing = default_pair(n_springs=n)
+        stepper = CrankNicolson(assemble(params, forcing, variant), forcing.period / 64)
+        state = np.random.default_rng(37).normal(0.0, 1e-6, size=n)
+        expected = list(convolve_samples(stepper, state.copy(), nsteps, sample_every))
+        got = list(stepper.samples(state, nsteps, sample_every))
+        assert [t for t, _ in got] == [k * stepper.dt for k in range(0, nsteps + 1, sample_every)]
+        assert [t for t, _ in got] == [t for t, _ in expected]
+        assert [row.tobytes() for _, row in got] == [row.tobytes() for _, row in expected]
+
+
+def convolve_samples(stepper, state, nsteps, sample_every):
+    """Reference for CrankNicolson.samples: each step's right-hand side by np.convolve, dpttrs
+    with the keyword overwrite_b, every step taken, and a modulo test after each one."""
+
+    def step(state, t):
+        rhs = np.convolve(state, stepper._stencil)[1:-1]
+        rhs[0] += stepper._corner * state[0] + stepper._load_abs * math.cos(stepper._omega * t + stepper._load_arg)
+        u, info = stepper._dpttrs(stepper._d, stepper._e, rhs, overwrite_b=True)
+        assert info == 0
+        return u
+
+    yield 0.0, np.append(state, 0.0)
+    for k in range(nsteps):
+        state = step(state, k * stepper.dt)
+        if (k + 1) % sample_every == 0:
+            yield (k + 1) * stepper.dt, np.append(state, 0.0)
+
 
 class TestSolveTransient:
     def test_shapes_and_sampling(self):

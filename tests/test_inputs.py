@@ -140,3 +140,13 @@ def test_cli_types_exit_2(tmp_path, capsys, flag, text, message):
         cli.main(["simulate", "--scheme", "lumped", flag, text, "--out", str(tmp_path / "out")])
     assert excinfo.value.code == 2
     assert capsys.readouterr().err == f"error: argument {flag}: {message}\n"
+
+
+@pytest.mark.parametrize("text", ["", '{"mu": 1e-3,', "[1, 2]"], ids=["empty", "malformed", "non-object"])
+def test_unreadable_config_exits_1_naming_the_file(tmp_path, capsys, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: config {config}: ")
+    assert list(tmp_path.rglob("*.csv")) == []
