@@ -162,18 +162,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _load(args) -> tuple[SwimmerParams, Forcing]:
-    if args.config is None:
-        return config_from_mapping({})
-    return load_config(args.config)
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _node_header(params: SwimmerParams) -> bytes:
     """The 't,<node positions>' header line of a table of node values."""
     return b"t," + b"".join(_format((np.arange(params.n_springs + 1) * params.h)[None]))
@@ -202,21 +190,16 @@ def _simulation_blocks(params: SwimmerParams, forcing: Forcing, blocks):
     carry = None
     for t, ell in blocks:
         v1 = instantaneous_v1(params, forcing, ell, t)
-        if carry is None:  # the sum starts at the first term, exactly as over the whole table
-            x1 = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(t) * (v1[:-1] + v1[1:]))])
-        else:
-            t_prev, v_prev, x_prev = carry
-            terms = 0.5 * np.diff(np.concatenate([[t_prev], t])) * (np.concatenate([[v_prev], v1[:-1]]) + v1)
-            x1 = np.cumsum(np.concatenate([[x_prev], terms]))[1:]
+        t_prev, v_prev, x_prev = carry or (t[0], v1[0], 0.0)  # first block: a zero-length step from its first sample
+        terms = 0.5 * np.diff(np.concatenate([[t_prev], t])) * (np.concatenate([[v_prev], v1[:-1]]) + v1)
+        x1 = np.cumsum(np.concatenate([[x_prev], terms]))[1:]
         carry = t[-1], v1[-1], x1[-1]
         arm = np.asarray(forcing.arm_length(t))
         tail = x1[:, None] - arm[:, None] - np.cumsum(ell[:, :n] / n + params.h, axis=1)
         yield np.column_stack([t, ell]), np.column_stack([t, x1, x1 - arm, tail])
 
 
-def cmd_simulate(args) -> list[Path]:
-    params, forcing = _load(args)
-    out = _out_dir(args)
+def cmd_simulate(args, params: SwimmerParams, forcing: Forcing, out: Path) -> list[Path]:
     t_end = forcing.period if args.t_end is None else args.t_end
 
     if args.scheme == "analytic":
@@ -250,9 +233,7 @@ def _rate_payload(estimate: RateEstimate) -> dict:
     return payload
 
 
-def cmd_converge(args) -> list[Path]:
-    params, forcing = _load(args)
-    out = _out_dir(args)
+def cmd_converge(args, params: SwimmerParams, forcing: Forcing, out: Path) -> list[Path]:
     steps = args.steps_per_period or 16384  # flag not given: the stepped schemes' default
     records = convergence_study(params, forcing, MassVariant(args.scheme), args.n_list, steps_per_period=steps)
     csv_path = out / f"convergence_{args.scheme}.csv"
@@ -272,9 +253,7 @@ def cmd_converge(args) -> list[Path]:
     return [csv_path, json_path]
 
 
-def cmd_sweep(args) -> list[Path]:
-    params, forcing = _load(args)
-    out = _out_dir(args)
+def cmd_sweep(args, params: SwimmerParams, forcing: Forcing, out: Path) -> list[Path]:
     if args.log:
         start, stop = positive_real("--from", args.start), positive_real("--to", args.stop)
         values = np.logspace(math.log10(start), math.log10(stop), args.points)
@@ -310,9 +289,7 @@ def cmd_sweep(args) -> list[Path]:
     return [csv_path, json_path]
 
 
-def cmd_optimize(args) -> list[Path]:
-    params, forcing = _load(args)
-    out = _out_dir(args)
+def cmd_optimize(args, params: SwimmerParams, forcing: Forcing, out: Path) -> list[Path]:
     result = optimize_k_omega(params, forcing, bracket=tuple(args.bracket), rel_tol=args.rel_tol)
     path = out / "optimize.json"
     _write_json(
@@ -327,9 +304,7 @@ def cmd_optimize(args) -> list[Path]:
     return [path]
 
 
-def cmd_analytic(args) -> list[Path]:
-    params, forcing = _load(args)
-    out = _out_dir(args)
+def cmd_analytic(args, params: SwimmerParams, forcing: Forcing, out: Path) -> list[Path]:
     mode, samples = _closed_form(params, forcing, forcing.period, args.samples)
     csv_path, json_path = out / "analytic.csv", out / "analytic.json"
     # map, unlike a generator expression, keeps no block alive while its table is written
@@ -429,7 +404,9 @@ def main(argv=None) -> int:
     if args.func is cmd_converge and args.scheme == "nspring" and args.steps_per_period is not None:
         parser.error("argument --steps-per-period: only lumped and galerkin are stepped, not --scheme nspring")
     try:
-        written = args.func(args)
+        params, forcing = config_from_mapping({}) if args.config is None else load_config(args.config)
+        args.out.mkdir(parents=True, exist_ok=True)
+        written = args.func(args, params, forcing, args.out)
     except Exception as exc:  # single-line diagnostics, nonzero exit
         message = " ".join(str(exc).split()) or exc.__class__.__name__
         print(f"error: {message}", file=sys.stderr)

@@ -146,6 +146,8 @@ def k_omega_of(params: SwimmerParams, forcing: Forcing) -> float:
 def params_for_k_omega(params: SwimmerParams, forcing: Forcing, k_omega: float) -> SwimmerParams:
     """Return params with k_tilde retuned so that relaxation_rate/omega == k_omega."""
     k_tilde = positive_real("k_omega", k_omega) * 6.0 * math.pi * params.mu * params.a_tilde * forcing.omega
+    if not 0.0 < k_tilde < math.inf:  # the user set k_omega, not k_tilde: name both
+        raise ValueError(f"k_omega={float(k_omega)!r} gives k_tilde={k_tilde!r}, outside the float range")
     return replace(params, k_tilde=k_tilde)
 
 

@@ -139,18 +139,35 @@ def time_node_header(params):
 
 class TestStreamedTables:
     N = 1000  # 32 rows of n + 3 values per block: 201 and 129 rows end in a short block
+    WIDE = 16382  # the narrowest chain whose every block is one row: the head sum's first step alone
 
     @pytest.mark.parametrize(
-        "scheme, eps_tilde",
+        "scheme, eps_tilde, n, samples",
         # at eps_tilde = 0 every sample is zero, and each zero must print with the sign
         # that the whole-table sums give it
-        [("analytic", 0.7), ("nspring", 0.7), ("lumped", 0.7), ("galerkin", 0.7), ("lumped", 0.0)],
-        ids=["analytic", "nspring", "lumped", "galerkin", "lumped-no-stroke"],
+        [
+            ("analytic", 0.7, N, 200),
+            ("nspring", 0.7, N, 128),
+            ("lumped", 0.7, N, 128),
+            ("galerkin", 0.7, N, 128),
+            ("lumped", 0.0, N, 128),
+            ("analytic", 0.7, WIDE, 1),
+            ("analytic", 0.7, WIDE, 3),
+            ("lumped", 0.7, WIDE, 2),
+            ("lumped", 0.0, WIDE, 4),
+        ],
+        ids=[
+            "analytic", "nspring", "lumped", "galerkin", "lumped-no-stroke",
+            "analytic-row-blocks-1", "analytic-row-blocks-3", "lumped-row-blocks-2", "lumped-no-stroke-row-blocks-4",
+        ],
     )
-    def test_simulate_matches_whole_table_reference(self, tmp_path, scheme, eps_tilde):
-        samples = 200 if scheme == "analytic" else 128
-        assert samples + 1 > _BLOCK // (self.N + 3) and (samples + 1) % (_BLOCK // (self.N + 3)) != 0
-        config = write_config(tmp_path, n_springs=self.N, eps_tilde=eps_tilde)
+    def test_simulate_matches_whole_table_reference(self, tmp_path, scheme, eps_tilde, n, samples):
+        rows_per_block = _BLOCK // (n + 3)
+        if n == self.WIDE:
+            assert rows_per_block == 1
+        else:
+            assert samples + 1 > rows_per_block and (samples + 1) % rows_per_block != 0
+        config = write_config(tmp_path, n_springs=n, eps_tilde=eps_tilde)
         argv = ["simulate", "--scheme", scheme, "--samples", samples, "--config", config, "--out", tmp_path]
         assert run(argv) == 0
         params, forcing = load_config(config)
@@ -162,7 +179,7 @@ class TestStreamedTables:
             trajectory = solve_transient(system, None, forcing.period, forcing.period / 1024, 1024 // samples)
             times, ell = trajectory.times, trajectory.values
         elongations, positions = reference_tables(params, forcing, times, ell)
-        position_header = ",".join(["t"] + [f"x{j}" for j in range(1, self.N + 3)]) + "\n"
+        position_header = ",".join(["t"] + [f"x{j}" for j in range(1, n + 3)]) + "\n"
         assert (tmp_path / "elongations.csv").read_text() == time_node_header(params) + percent_lines(elongations)
         assert (tmp_path / "positions.csv").read_text() == position_header + percent_lines(positions)
 

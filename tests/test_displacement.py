@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from chain_drift import chain_drift, stiff_amplitudes
 from springswim import displacement
 from springswim.analytic import ContinuousModeShape, build_continuous_mode, build_discrete_mode
 from springswim.displacement import (
@@ -353,6 +354,87 @@ class TestStrokeContinuous:
         assert np.max(1.0 / np.asarray(forcing.arm_length(times))) == pytest.approx(
             hi, rel=1e-9
         )
+
+
+# 50-digit mpmath_drift values at eps_tilde = 0.5 (5-12 s a point), each under the command that regenerates it
+LARGE_N_DRIFTS = {
+    # PYTHONPATH=src:tests python -c "import test_displacement as t; print(repr(t.mpmath_drift(*t.tuned_pair(50000, 1e3, 0.5))))"
+    (50_000, 1e3): -5.517764041228415e-10,
+    # PYTHONPATH=src:tests python -c "import test_displacement as t; print(repr(t.mpmath_drift(*t.tuned_pair(100000, 1e3, 0.5))))"
+    (100_000, 1e3): -5.517706629470996e-10,
+    # PYTHONPATH=src:tests python -c "import test_displacement as t; print(repr(t.mpmath_drift(*t.tuned_pair(100000, 1e8, 0.5))))"
+    (100_000, 1e8): -5.5177071020017164e-15,
+}
+ITEM_8 = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 8: the banded solve loses digits at large n (2.5e-8, 4.8e-8, 6.9e-10)"
+)
+
+
+def tuned_pair(n, k_omega, eps_tilde):
+    params, forcing = default_pair(n_springs=n, eps_tilde=eps_tilde)
+    return params_for_k_omega(params, forcing, k_omega), forcing
+
+
+class TestStiffSeries:
+    """The Neumann series of the chain solve as an oracle for k_omega >= 1, the range where the
+    closed form loses the out-of-phase part of the amplitudes."""
+
+    @pytest.mark.parametrize("eps_tilde", [0.5, 0.999])
+    @pytest.mark.parametrize("k_omega", [1.0, 10.0, 1e3, 1e8])
+    @pytest.mark.parametrize("n", [1, 2, 50, 2000])
+    def test_program_matches_series(self, n, k_omega, eps_tilde):
+        params, forcing = tuned_pair(n, k_omega, eps_tilde)
+        series = chain_drift(params, forcing, stiff_amplitudes(params, forcing))
+        drift = stroke_displacement_discrete(params, forcing).displacement
+        assert abs(drift - series) <= 1e-10 * abs(series)
+
+    @pytest.mark.parametrize("eps_tilde", [0.5, 0.999])
+    @pytest.mark.parametrize("k_omega", [1.0, 10.0, 1e3])
+    @pytest.mark.parametrize("n", [1, 2, 50, 2000])
+    def test_series_matches_closed_form_where_both_hold(self, n, k_omega, eps_tilde):
+        # measured at most 1.8e-14 of the largest amplitude, at n = 2000
+        params, forcing = tuned_pair(n, k_omega, eps_tilde)
+        series = stiff_amplitudes(params, forcing)
+        closed = build_discrete_mode(params, forcing).node_amplitudes()
+        assert np.max(np.abs(closed - series)) <= 1e-13 * np.max(np.abs(series))
+
+    @pytest.mark.parametrize("n, k_omega", sorted(LARGE_N_DRIFTS))
+    def test_series_matches_50_digit_reference(self, n, k_omega):
+        params, forcing = tuned_pair(n, k_omega, 0.5)
+        reference = LARGE_N_DRIFTS[n, k_omega]
+        assert abs(chain_drift(params, forcing, stiff_amplitudes(params, forcing)) - reference) <= 1e-11 * abs(reference)
+
+    @pytest.mark.parametrize("n, k_omega", [pytest.param(*key, marks=ITEM_8) for key in sorted(LARGE_N_DRIFTS)])
+    def test_program_matches_50_digit_reference(self, n, k_omega):
+        params, forcing = tuned_pair(n, k_omega, 0.5)
+        reference = LARGE_N_DRIFTS[n, k_omega]
+        assert abs(stroke_displacement_discrete(params, forcing).displacement - reference) <= 1e-10 * abs(reference)
+
+
+class TestLimitTheorem:
+    @pytest.mark.parametrize("eps_tilde", [0.5, 0.999])
+    @pytest.mark.parametrize("k_omega", [0.28, 10.0, 1e3])
+    def test_richardson_limit_of_the_chain_is_the_continuous_kernel(self, k_omega, eps_tilde):
+        # D_n = D_inf + a/n + b/n^2 + ... once the beads resolve the arm's closest approach
+        # L (1 - eps_tilde): the smallest n0 = 1000 * 2^j with Lambda/n0 <= L (1 - eps_tilde)/4 is
+        # 1000 at eps_tilde = 0.5 and 64000 at 0.999, where n0 = 1000 stalls at 3.9e-6. Chain drifts
+        # come from the closed form, not the banded solve, whose 1e-11 error the levels would amplify.
+        # Three levels on n0 * (1, 2, 4, 8) measured 1.7e-12 to 6.4e-12; the bound is about 3 times that.
+        params, forcing = tuned_pair(1, k_omega, eps_tilde)
+        n0 = 1000
+        while params.Lambda / n0 > forcing.L_ref * (1.0 - eps_tilde) / 4.0:
+            n0 *= 2
+        drifts = []
+        for n in (n0, 2 * n0, 4 * n0, 8 * n0):
+            chain = dataclasses.replace(params, n_springs=n)
+            drifts.append(chain_drift(chain, forcing, build_discrete_mode(chain, forcing).node_amplitudes()))
+        levels = [drifts]
+        for order in (1, 2, 3):
+            levels.append([(2**order * fine - coarse) / (2**order - 1) for coarse, fine in zip(levels[-1], levels[-1][1:])])
+        limit = stroke_displacement_continuous(params, forcing).displacement
+        a = 8 * n0 * (drifts[-1] - levels[-1][0])
+        print(f"k_omega={k_omega:g} eps_tilde={eps_tilde}: D_inf={limit!r} m, a={a:.6e} m (a/D_inf={a / limit:.4f})")
+        assert abs(levels[-1][0] - limit) <= 2e-11 * abs(limit)
 
 
 class TestSweep:

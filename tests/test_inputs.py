@@ -150,3 +150,39 @@ def test_unreadable_config_exits_1_naming_the_file(tmp_path, capsys, text):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: config {config}: ")
     assert list(tmp_path.rglob("*.csv")) == []
+
+
+K_TILDE_RANGE = "k_omega={} gives k_tilde={}, outside the float range"
+
+
+@pytest.mark.parametrize(
+    "call, k_omega, k_tilde",
+    [
+        (lambda: params_for_k_omega(PARAMS, FORCING, 1e-320), "1e-320", "0.0"),
+        (lambda: params_for_k_omega(PARAMS, FORCING, 1e308), "1e+308", "inf"),  # 1e308 * 6.0 overflows
+        (lambda: sweep(PARAMS, FORCING, "k_omega", [1e-320, 1.0]), "1e-320", "0.0"),
+        (lambda: sweep(PARAMS, FORCING, "k_omega", [1.0, 1e308]), "1e+308", "inf"),
+        (lambda: optimize_k_omega(PARAMS, FORCING, bracket=(1e-320, 1e-315)), "8.12506e-319", "0.0"),
+    ],
+    ids=["params_for_k_omega-0", "params_for_k_omega-inf", "sweep-0", "sweep-inf", "optimize_k_omega-0"],
+)
+def test_retuned_k_tilde_out_of_range_names_k_omega(call, k_omega, k_tilde):
+    # k_omega itself is positive and finite; the k_tilde it retunes to is not, and the user never set k_tilde
+    with pytest.raises(ValueError, match=f"^{re.escape(K_TILDE_RANGE.format(k_omega, k_tilde))}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "command, k_omega, k_tilde",
+    [
+        (["sweep", "--axis", "k_omega", "--from", "1e-320", "--to", "1", "--points", "3", "--log"], "1e-320", "0.0"),
+        (["sweep", "--axis", "k_omega", "--from", "1e300", "--to", "1e308", "--points", "3", "--log"], "1e+308", "inf"),
+        (["optimize", "--bracket", "1e-320", "1e-315"], "8.12506e-319", "0.0"),
+    ],
+    ids=["sweep-0", "sweep-inf", "optimize-0"],
+)
+def test_retuned_k_tilde_out_of_range_exits_1_naming_k_omega(tmp_path, capsys, command, k_omega, k_tilde):
+    out = tmp_path / "out"
+    assert cli.main([*command, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {K_TILDE_RANGE.format(k_omega, k_tilde)}\n"
+    assert list(tmp_path.rglob("*.csv")) == [] and list(tmp_path.rglob("*.json")) == []
