@@ -261,10 +261,6 @@ def cmd_sweep(args, params: SwimmerParams, forcing: Forcing, out: Path) -> list[
         values = np.linspace(args.start, args.stop, args.points)
     table = sweep(params, forcing, args.axis, values)
     displacements = table.displacements()
-
-    csv_path = out / f"sweep_{args.axis}.csv"
-    _write_csv({csv_path: b"parameter,displacement_m\n"}, [(np.column_stack([table.values, displacements]),)])
-
     payload = {
         "axis": table.axis,
         "n": params.n_springs,
@@ -284,7 +280,9 @@ def cmd_sweep(args, params: SwimmerParams, forcing: Forcing, out: Path) -> list[
     else:
         ok = [(v, abs(d)) for v, d in zip(table.values, displacements) if v > 0 and math.isfinite(d) and d != 0.0]
         payload["log_log_slope"] = float(np.polyfit(*map(np.log, zip(*ok)), 1)[0]) if len(ok) >= 2 else None
-    json_path = out / f"sweep_{args.axis}.json"
+    # the payload comes first: argbest raises for a k_omega sweep with no successful point, before any file is written
+    csv_path, json_path = out / f"sweep_{args.axis}.csv", out / f"sweep_{args.axis}.json"
+    _write_csv({csv_path: b"parameter,displacement_m\n"}, [(np.column_stack([table.values, displacements]),)])
     _write_json(json_path, payload)
     return [csv_path, json_path]
 

@@ -2,14 +2,14 @@
 
 The semi-discrete system is M dl/dt + A l = f(t) on the n retained nodes
 (the far end is pinned to zero and eliminated). A is the diffusion
-stiffness plus a Robin term at the driven end; M is one of three mass
-treatments: the consistent P1 matrix, its trapezoid-lumped diagonal, or
-the uniform diagonal diag(h, ..., h) under which the finite element
-system coincides with the bead-spring chain exactly. The load acts on
-the driven node alone. Crank-Nicolson factors its tridiagonal left
-matrix once (LAPACK LDL^T), so a step is one three-point correlate and
-one O(n) solve. CrankNicolson.samples is the one stepping loop: it
-yields sampled rows one at a time, which solve_transient collects.
+stiffness plus a Robin term at the driven end; M is the consistent P1
+matrix, its trapezoid-lumped diagonal, or diag(h, ..., h), under which
+the system is the bead-spring chain exactly. Each is a symmetric
+tridiagonal stencil stored as three numbers. The load acts on the driven
+node alone. Crank-Nicolson factors its left matrix once (LAPACK LDL^T),
+so a step is one three-point correlate and one O(n) solve.
+CrankNicolson.samples is the one stepping loop: it yields sampled rows
+one at a time, which solve_transient collects.
 
 Both solves call LAPACK through _lapack(), which loads scipy's compiled
 wrapper module scipy.linalg._flapack on first use and nothing else of
@@ -47,16 +47,18 @@ class MassVariant(Enum):
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Semi-discrete system M dl/dt + A l = load(t) on the retained nodes.
+    """Semi-discrete system M dl/dt + A l = load(t) on the n retained nodes.
 
-    The load is zero except at the driven node 0, where it is
-    f_0(t) = Re(load_amplitude * exp(i omega t)); load_amplitude is
-    -(Lambda/2) * i omega eps, the complex amplitude of -(Lambda/2) dL0/dt.
-    A and M are symmetric tridiagonal, each stored as (main, super) diagonals.
+    A and M are stored as stencils (row-0 diagonal, interior diagonal,
+    off-diagonal); at n = 1 the interior entry is unread. The load is zero
+    except at the driven node 0, where it is f_0(t) = Re(load_amplitude *
+    exp(i omega t)); load_amplitude is -(Lambda/2) * i omega eps, the
+    complex amplitude of -(Lambda/2) dL0/dt.
     """
 
-    stiffness: tuple[np.ndarray, np.ndarray]
-    mass: tuple[np.ndarray, np.ndarray]
+    n: int
+    stiffness: tuple[float, float, float]
+    mass: tuple[float, float, float]
     forcing: Forcing
     load_amplitude: complex
 
@@ -68,33 +70,19 @@ def assemble(params: SwimmerParams, forcing: Forcing, variant: MassVariant) -> A
     Lambda^2*K/h, with the (1,1) entry reduced to one off-diagonal
     contribution plus the Robin coupling Lambda*K*a_tilde/(2*a1).
     """
-    n = params.n_springs
-    h = params.h
-    lam = params.Lambda
-    k = params.relaxation_rate
-
-    cond = lam * lam * k / h
-    diag = np.full(n, 2.0 * cond)
-    diag[0] = cond + lam * k * params.a_tilde / (2.0 * params.a1)
-    off = np.full(max(n - 1, 0), -cond)
-    stiffness = (diag, off)
-
-    if variant is MassVariant.NSPRING:
-        mass = (np.full(n, h), np.zeros(max(n - 1, 0)))
-    elif variant is MassVariant.TRAPEZOID:
-        md = np.full(n, h)
-        md[0] = 0.5 * h
-        mass = (md, np.zeros(max(n - 1, 0)))
-    elif variant is MassVariant.CONSISTENT:
-        md = np.full(n, 2.0 * h / 3.0)
-        md[0] = h / 3.0
-        mass = (md, np.full(max(n - 1, 0), h / 6.0))
-    else:
+    if not isinstance(variant, MassVariant):
         raise ValueError(f"unknown mass variant {variant!r}")
-
+    h, lam, k = params.h, params.Lambda, params.relaxation_rate
+    cond = lam * lam * k / h
+    mass = {
+        MassVariant.CONSISTENT: (h / 3.0, 2.0 * h / 3.0, h / 6.0),
+        MassVariant.TRAPEZOID: (0.5 * h, h, 0.0),
+        MassVariant.NSPRING: (h, h, 0.0),
+    }
     return AssembledSystem(
-        stiffness=stiffness,
-        mass=mass,
+        n=params.n_springs,
+        stiffness=(cond + lam * k * params.a_tilde / (2.0 * params.a1), 2.0 * cond, -cond),
+        mass=mass[variant],
         forcing=forcing,
         load_amplitude=-(lam / 2.0) * 1j * forcing.omega * forcing.eps,
     )
@@ -148,9 +136,11 @@ def harmonic_state(system: AssembledSystem) -> np.ndarray:
     but for load_amplitude at node 0; the physical orbit is
     Re(u * exp(i omega t)). The tridiagonal solve is LAPACK zgtsv, with
     the checks and the n = 1 division of scipy.linalg.solve_banded.
+    It combines the stencils expanded into real bands; combining the scalars
+    is faster, but waits on the benchmark's peak-RSS fix (ROADMAP item 1a).
     """
     omega = system.forcing.omega
-    (mass_diag, mass_off), (stiff_diag, stiff_off) = system.mass, system.stiffness
+    (mass_diag, mass_off), (stiff_diag, stiff_off) = _bands(system.n, system.mass), _bands(system.n, system.stiffness)
     diag = 1j * omega * mass_diag + stiff_diag
     off = 1j * omega * mass_off + stiff_off
     if not (np.isfinite(diag).all() and np.isfinite(off).all() and np.isfinite(system.load_amplitude)):
@@ -165,6 +155,13 @@ def harmonic_state(system: AssembledSystem) -> np.ndarray:
     return u
 
 
+def _bands(n: int, stencil: tuple[float, float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """The (main, super) diagonals of the n x n matrix of a stencil."""
+    diag = np.full(n, stencil[1])
+    diag[0] = stencil[0]
+    return diag, np.full(n - 1, stencil[2])
+
+
 class CrankNicolson:
     """Fixed-step trapezoid-rule integrator with a cached tridiagonal factorization.
 
@@ -172,11 +169,10 @@ class CrankNicolson:
     Its node-0 load term is Re(G exp(i omega t)) = |G| cos(omega t + arg G),
     G = dt/2 * F_0 * (1 + exp(i omega dt)) for the load amplitude F_0.
     The left matrix is symmetric positive definite tridiagonal; it is
-    factored once as L D L^T (LAPACK dpttrf). Every assembled M - dt/2 A
-    has one interior diagonal value and one off-diagonal value, with only
-    row 0 different, so a step is one correlate with the three-point
-    stencil, a row-0 correction that carries the load, and one O(n)
-    dpttrs solve. np.convolve would reverse the stencil first; as it is
+    factored once as L D L^T (LAPACK dpttrf). M - dt/2 A is read off the
+    stencils as a three-point interior stencil plus a row-0 corner, so a
+    step is one correlate, a row-0 correction that carries the load, and
+    one O(n) dpttrs solve. np.convolve would reverse the stencil first; as it is
     symmetric, both form the same products and sums in the same order.
     """
 
@@ -186,18 +182,14 @@ class CrankNicolson:
         half = 0.5 * dt
         g = half * system.load_amplitude * (1.0 + complex(math.cos(omega * dt), math.sin(omega * dt)))
         self._load_abs, self._load_arg = abs(g), math.atan2(g.imag, g.real)
-        (mass_diag, mass_off), (stiff_diag, stiff_off) = system.mass, system.stiffness
-        minus_diag, minus_off = mass_diag - half * stiff_diag, mass_off - half * stiff_off
-        interior = minus_diag[-1]
-        coupling = minus_off[0] if minus_off.size else 0.0
-        if np.any(minus_diag[1:] != interior) or np.any(minus_off != coupling):
-            raise ValueError("M - dt/2 A must have a uniform interior stencil")
-        self._stencil = np.array([coupling, interior, coupling])
-        self._corner = minus_diag[0] - interior
+        minus = [m - half * a for m, a in zip(system.mass, system.stiffness)]
+        interior = minus[1] if system.n > 1 else minus[0]  # a lone node has only its row-0 entry
+        self._stencil = np.array([minus[2], interior, minus[2]])
+        self._corner = minus[0] - interior
+        plus_diag, plus_off = _bands(system.n, [m + half * a for m, a in zip(system.mass, system.stiffness)])
         # the LAPACK wrappers reject an empty off-diagonal, so n == 1 passes an unread zero
-        plus_off = mass_off + half * stiff_off if mass_off.size else np.zeros(1)
         lapack = _lapack()
-        self._d, self._e, info = lapack.dpttrf(mass_diag + half * stiff_diag, plus_off)
+        self._d, self._e, info = lapack.dpttrf(plus_diag, plus_off if plus_off.size else np.zeros(1))
         if info != 0:
             raise np.linalg.LinAlgError(f"M + dt/2 A is not positive definite (dpttrf info={info})")
         self._dpttrs = lapack.dpttrs
@@ -250,7 +242,7 @@ def solve_transient(
     The far-end initial value must be exactly zero. dt must divide t_end and
     sample_every the step count; the initial state is always the first sample.
     """
-    n = system.stiffness[0].size
+    n = system.n
     if initial is None:
         state = np.zeros(n)
     else:

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -26,18 +27,26 @@ def default_pair(**overrides):
     return config_from_mapping(overrides)
 
 
-def dense(matrix):
-    """The full matrix of a symmetric tridiagonal (main, super) diagonal pair."""
-    diag, off = matrix
-    full = np.diag(diag)
-    if off.size:
-        full += np.diag(off, 1) + np.diag(off, -1)
+def dense(stencil, n):
+    """The full n x n matrix of a (row-0 diagonal, interior diagonal, off-diagonal) stencil."""
+    first, interior, off = stencil
+    full = np.zeros((n, n))
+    i = np.arange(n)
+    full[i, i] = interior
+    full[i[:-1], i[1:]] = full[i[1:], i[:-1]] = off
+    full[0, 0] = first
     return full
+
+
+def bands(stencil, n):
+    """The (main, super) diagonals of dense(stencil, n)."""
+    full = dense(stencil, n)
+    return np.diag(full), np.diag(full, 1)
 
 
 def load_vector(system, t):
     """The full load vector at time t: Re(load_amplitude exp(i omega t)) at node 0, zero elsewhere."""
-    f = np.zeros(system.stiffness[0].size)
+    f = np.zeros(system.n)
     f[0] = (system.load_amplitude * np.exp(1j * system.forcing.omega * t)).real
     return f
 
@@ -48,8 +57,11 @@ class TestAssembly:
             params, forcing = default_pair(n_springs=n)
             for variant in MassVariant:
                 system = assemble(params, forcing, variant)
-                assert system.stiffness[0].size == n
-                assert system.mass[0].size == n
+                assert system.n == n
+                assert dense(system.stiffness, system.n).shape == dense(system.mass, system.n).shape == (n, n)
+                # the operators are stencils of three Python floats, not arrays
+                assert type(system.n) is int
+                assert [type(value) for value in system.stiffness + system.mass] == [float] * 6
 
     def test_two_spring_hand_values(self):
         params, forcing = default_pair(n_springs=2)
@@ -59,7 +71,7 @@ class TestAssembly:
         k = params.relaxation_rate
         cond = lam * lam * k / h
         robin = lam * k * params.a_tilde / (2.0 * params.a1)
-        (stiff_diag, stiff_off), (mass_diag, mass_off) = system.stiffness, system.mass
+        (stiff_diag, stiff_off), (mass_diag, mass_off) = bands(system.stiffness, 2), bands(system.mass, 2)
         assert np.allclose(stiff_diag, [cond + robin, 2.0 * cond], rtol=1e-14)
         assert np.allclose(stiff_off, [-cond], rtol=1e-14)
         assert np.allclose(mass_diag, [h, h])
@@ -68,13 +80,13 @@ class TestAssembly:
     def test_mass_variants(self):
         params, forcing = default_pair(n_springs=5)
         h = params.h
-        nspring_diag, _ = assemble(params, forcing, MassVariant.NSPRING).mass
+        nspring_diag, _ = bands(assemble(params, forcing, MassVariant.NSPRING).mass, 5)
         assert np.allclose(nspring_diag, h)
-        trap_diag, trap_off = assemble(params, forcing, MassVariant.TRAPEZOID).mass
+        trap_diag, trap_off = bands(assemble(params, forcing, MassVariant.TRAPEZOID).mass, 5)
         assert trap_diag[0] == pytest.approx(0.5 * h, rel=1e-15)
         assert np.allclose(trap_diag[1:], h)
         assert np.all(trap_off == 0.0)
-        cons_diag, cons_off = assemble(params, forcing, MassVariant.CONSISTENT).mass
+        cons_diag, cons_off = bands(assemble(params, forcing, MassVariant.CONSISTENT).mass, 5)
         assert cons_diag[0] == pytest.approx(h / 3.0, rel=1e-15)
         assert np.allclose(cons_diag[1:], 2.0 * h / 3.0)
         assert np.allclose(cons_off, h / 6.0)
@@ -82,14 +94,14 @@ class TestAssembly:
     def test_stiffness_positive_definite(self):
         params, forcing = default_pair(n_springs=64)
         system = assemble(params, forcing, MassVariant.CONSISTENT)
-        eigenvalues = np.linalg.eigvalsh(dense(system.stiffness))
+        eigenvalues = np.linalg.eigvalsh(dense(system.stiffness, system.n))
         assert eigenvalues.min() > 0.0
 
     def test_mass_matrices_positive_definite(self):
         params, forcing = default_pair(n_springs=32)
         for variant in MassVariant:
             mass = assemble(params, forcing, variant).mass
-            assert np.linalg.eigvalsh(dense(mass)).min() > 0.0
+            assert np.linalg.eigvalsh(dense(mass, 32)).min() > 0.0
 
     def test_load_vector(self):
         params, forcing = default_pair(n_springs=6)
@@ -116,7 +128,7 @@ class TestAssembly:
             u = rng.normal(size=n)
             du = rng.normal(size=n)
             matrix_residual = (
-                dense(system.mass) @ du + dense(system.stiffness) @ u - load_vector(system, t)
+                dense(system.mass, n) @ du + dense(system.stiffness, n) @ u - load_vector(system, t)
             )
 
             full = np.concatenate([u, [0.0]])
@@ -136,10 +148,16 @@ class TestAssembly:
     def test_single_spring_assembly(self):
         params, forcing = default_pair(n_springs=1)
         system = assemble(params, forcing, MassVariant.CONSISTENT)
-        stiff_diag, stiff_off = system.stiffness
+        stiff_diag, stiff_off = bands(system.stiffness, system.n)
         assert stiff_diag.shape == (1,)
         assert stiff_off.shape == (0,)
-        assert system.mass[0][0] == pytest.approx(params.h / 3.0, rel=1e-15)
+        assert system.mass[0] == pytest.approx(params.h / 3.0, rel=1e-15)
+
+    @pytest.mark.parametrize("variant", ["nspring", None, [MassVariant.NSPRING]], ids=repr)
+    def test_rejects_a_variant_that_is_not_a_mass_variant(self, variant):
+        params, forcing = default_pair(n_springs=3)
+        with pytest.raises(ValueError, match="unknown mass variant"):
+            assemble(params, forcing, variant)
 
 
 class TestHarmonicState:
@@ -156,7 +174,7 @@ class TestHarmonicState:
             system = assemble(params, forcing, variant)
             u = harmonic_state(system)
             omega = forcing.omega
-            matrix = 1j * omega * dense(system.mass) + dense(system.stiffness)
+            matrix = 1j * omega * dense(system.mass, system.n) + dense(system.stiffness, system.n)
             rhs = np.zeros(params.n_springs, dtype=complex)
             rhs[0] = -(params.Lambda / 2.0) * 1j * omega * forcing.eps
             residual = matrix @ u - rhs
@@ -177,7 +195,7 @@ class TestHarmonicState:
             system = assemble(params_for_k_omega(params, forcing, k_omega), forcing, variant)
             omega = forcing.omega
             ab = np.zeros((3, n), dtype=complex)
-            (mass_diag, mass_off), (stiff_diag, stiff_off) = system.mass, system.stiffness
+            (mass_diag, mass_off), (stiff_diag, stiff_off) = bands(system.mass, n), bands(system.stiffness, n)
             ab[1] = 1j * omega * mass_diag + stiff_diag
             ab[0, 1:] = ab[2, :-1] = 1j * omega * mass_off + stiff_off
             rhs = np.zeros(n, dtype=complex)
@@ -189,16 +207,14 @@ class TestHarmonicState:
     def test_non_finite_system_rejected(self, n):
         params, forcing = default_pair(n_springs=n)
         system = assemble(params, forcing, MassVariant.CONSISTENT)
-        diag, off = system.stiffness
-        bad_diag = diag.copy()
-        bad_diag[-1] = math.nan
-        bad_off = np.full(n - 1, math.inf)
+        first, interior, off = system.stiffness
+        bad_diag = (first, math.nan, off) if n > 1 else (math.nan, interior, off)  # the last diagonal entry
         cases = [
-            dataclasses.replace(system, stiffness=(bad_diag, off)),
+            dataclasses.replace(system, stiffness=bad_diag),
             dataclasses.replace(system, load_amplitude=complex(math.inf, 0.0)),
         ]
         if n > 1:
-            cases.append(dataclasses.replace(system, stiffness=(diag, bad_off)))
+            cases.append(dataclasses.replace(system, stiffness=(first, interior, math.inf)))
         for case in cases:
             with pytest.raises(ValueError, match="infs or NaNs"):
                 harmonic_state(case)
@@ -209,8 +225,8 @@ class TestHarmonicState:
         system = assemble(params, forcing, MassVariant.NSPRING)
         singular = dataclasses.replace(
             system,
-            stiffness=(np.ones(2), np.ones(1)),
-            mass=(np.zeros(2), np.zeros(1)),
+            stiffness=(1.0, 1.0, 1.0),
+            mass=(0.0, 0.0, 0.0),
         )
         with pytest.raises(np.linalg.LinAlgError, match="zgtsv info=2"):
             harmonic_state(singular)
@@ -227,8 +243,8 @@ class TestCrankNicolson:
         rng = np.random.default_rng(29)
         state = rng.normal(0.0, 1e-6, size=n)
         t = 0.45
-        mass = dense(system.mass)
-        stiff = dense(system.stiffness)
+        mass = dense(system.mass, n)
+        stiff = dense(system.stiffness, n)
         rhs = (mass - 0.5 * dt * stiff) @ state + 0.5 * dt * (
             load_vector(system, t) + load_vector(system, t + dt)
         )
@@ -244,20 +260,10 @@ class TestCrankNicolson:
     def test_rejects_non_spd_system(self):
         params, forcing = default_pair(n_springs=4)
         system = assemble(params, forcing, MassVariant.NSPRING)
-        diag, off = system.mass
-        negative = dataclasses.replace(system, mass=(-diag, off))
+        first, interior, off = system.mass
+        negative = dataclasses.replace(system, mass=(-first, -interior, off))
         with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
             CrankNicolson(negative, forcing.period / 64)
-
-    def test_rejects_nonuniform_stencil(self):
-        params, forcing = default_pair(n_springs=6)
-        system = assemble(params, forcing, MassVariant.NSPRING)
-        diag, off = system.mass
-        diag = diag.copy()
-        diag[3] *= 1.5
-        bumped = dataclasses.replace(system, mass=(diag, off))
-        with pytest.raises(ValueError, match="uniform"):
-            CrankNicolson(bumped, forcing.period / 64)
 
     def test_unforced_energy_decays(self):
         params, forcing = default_pair(n_springs=30, eps_tilde=0.0)
@@ -266,10 +272,10 @@ class TestCrankNicolson:
             stepper = CrankNicolson(system, forcing.period / 256)
             rng = np.random.default_rng(31)
             state = rng.normal(0.0, 1e-6, size=30)
-            energy = state @ dense(system.mass) @ state
+            energy = state @ dense(system.mass, 30) @ state
             for step in range(40):
                 state = stepper.step(state, step * stepper.dt)
-                updated = state @ dense(system.mass) @ state
+                updated = state @ dense(system.mass, 30) @ state
                 assert updated < energy
                 energy = updated
 
@@ -293,31 +299,53 @@ class TestCrankNicolson:
     @pytest.mark.parametrize("variant", list(MassVariant), ids=lambda variant: variant.value)
     def test_samples_bit_equal_to_convolve_loop(self, variant, n, nsteps, sample_every):
         params, forcing = default_pair(n_springs=n)
-        stepper = CrankNicolson(assemble(params, forcing, variant), forcing.period / 64)
+        system = assemble(params, forcing, variant)
+        stepper = CrankNicolson(system, forcing.period / 64)
         state = np.random.default_rng(37).normal(0.0, 1e-6, size=n)
-        expected = list(convolve_samples(stepper, state.copy(), nsteps, sample_every))
+        expected = list(convolve_samples(dense_setup(system, stepper.dt), state.copy(), nsteps, sample_every))
         got = list(stepper.samples(state, nsteps, sample_every))
         assert [t for t, _ in got] == [k * stepper.dt for k in range(0, nsteps + 1, sample_every)]
         assert [t for t, _ in got] == [t for t, _ in expected]
         assert [row.tobytes() for _, row in got] == [row.tobytes() for _, row in expected]
 
 
-def convolve_samples(stepper, state, nsteps, sample_every):
-    """Reference for CrankNicolson.samples: each step's right-hand side by np.convolve, dpttrs
-    with the keyword overwrite_b, every step taken, and a modulo test after each one."""
+def dense_setup(system, dt):
+    """Crank-Nicolson's step data built apart from CrankNicolson.__init__: the stencil and row-0
+    corner of M - dt/2 A from rows 0 and 1 of the dense matrices (row 0 alone at n = 1), the
+    LDL^T bands of M + dt/2 A from scipy's dpttrf, and the node-0 load
+    G = dt/2 * F_0 * (1 + exp(i omega dt)) as |G| and arg G."""
+    from scipy.linalg import lapack
+
+    mass, stiff = dense(system.mass, system.n), dense(system.stiffness, system.n)
+    minus, plus = mass - 0.5 * dt * stiff, mass + 0.5 * dt * stiff
+    n = minus.shape[0]
+    interior, coupling = (minus[1, 1], minus[0, 1]) if n > 1 else (minus[0, 0], 0.0)
+    d, e, info = lapack.dpttrf(np.diag(plus).copy(), np.diag(plus, 1).copy() if n > 1 else np.zeros(1))
+    assert info == 0
+    omega = system.forcing.omega
+    g = 0.5 * dt * system.load_amplitude * (1.0 + complex(math.cos(omega * dt), math.sin(omega * dt)))
+    return types.SimpleNamespace(
+        dt=dt, omega=omega, stencil=np.array([coupling, interior, coupling]), corner=minus[0, 0] - interior,
+        d=d, e=e, load_abs=abs(g), load_arg=math.atan2(g.imag, g.real), dpttrs=lapack.dpttrs,
+    )
+
+
+def convolve_samples(setup, state, nsteps, sample_every):
+    """Reference for CrankNicolson.samples on dense_setup's data: each step's right-hand side by
+    np.convolve, dpttrs with the keyword overwrite_b, every step taken, and a modulo test after each one."""
 
     def step(state, t):
-        rhs = np.convolve(state, stepper._stencil)[1:-1]
-        rhs[0] += stepper._corner * state[0] + stepper._load_abs * math.cos(stepper._omega * t + stepper._load_arg)
-        u, info = stepper._dpttrs(stepper._d, stepper._e, rhs, overwrite_b=True)
+        rhs = np.convolve(state, setup.stencil)[1:-1]
+        rhs[0] += setup.corner * state[0] + setup.load_abs * math.cos(setup.omega * t + setup.load_arg)
+        u, info = setup.dpttrs(setup.d, setup.e, rhs, overwrite_b=True)
         assert info == 0
         return u
 
     yield 0.0, np.append(state, 0.0)
     for k in range(nsteps):
-        state = step(state, k * stepper.dt)
+        state = step(state, k * setup.dt)
         if (k + 1) % sample_every == 0:
-            yield (k + 1) * stepper.dt, np.append(state, 0.0)
+            yield (k + 1) * setup.dt, np.append(state, 0.0)
 
 
 class TestSolveTransient:
@@ -349,7 +377,7 @@ class TestSolveTransient:
         system = assemble(params, forcing, variant)
         dt = forcing.period / 64
         trajectory = solve_transient(system, None, forcing.period, dt)
-        mass, stiff = dense(system.mass), dense(system.stiffness)
+        mass, stiff = dense(system.mass, 9), dense(system.stiffness, 9)
         state = np.zeros(params.n_springs)
         for k in range(64):
             t = k * dt

@@ -186,3 +186,19 @@ def test_retuned_k_tilde_out_of_range_exits_1_naming_k_omega(tmp_path, capsys, c
     assert cli.main([*command, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {K_TILDE_RANGE.format(k_omega, k_tilde)}\n"
     assert list(tmp_path.rglob("*.csv")) == [] and list(tmp_path.rglob("*.json")) == []
+
+
+@pytest.mark.parametrize(
+    "points, start, stop",
+    [("2", "1e305", "1e306"), ("1", "1e306", "1e306")],
+    ids=["two-points", "one-point"],
+)
+def test_sweep_with_no_successful_point_writes_nothing(tmp_path, capsys, points, start, stop):
+    # at Lambda = 1 every point's 2*cond overflows, so harmonic_state rejects each system
+    config = tmp_path / "config.json"
+    config.write_text('{"Lambda": 1.0}')
+    command = ["sweep", "--axis", "k_omega", "--from", start, "--to", stop, "--points", points, "--log"]
+    out = tmp_path / "out"
+    assert cli.main([*command, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: sweep produced no successful points\n"
+    assert not (out / "sweep_k_omega.csv").exists() and not (out / "sweep_k_omega.json").exists()

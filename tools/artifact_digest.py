@@ -1,0 +1,78 @@
+"""Digest the artifacts of a fixed list of springswim CLI commands, run from one checkout.
+
+    python3 tools/artifact_digest.py CHECKOUT > digest.txt
+
+Every command runs with CHECKOUT/src as the only PYTHONPATH entry, in its own directory under a
+fresh temporary directory, and with PYTHONPYCACHEPREFIX set to a fresh directory there, so no
+bytecode compiled from another checkout is reused. The output has one line per artifact,
+"sha256 label file", then one line per command, "exit=N label first-stderr-line", each group
+sorted; the temporary directory is written as <tmp> in stderr lines. Two checkouts that write
+the same bytes and fail the same way give the same output, so `diff` of two digests is the
+byte-identity check of a change (for example against `git archive` of its parent).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# (label, config mapping or None for the defaults, CLI arguments)
+COMMANDS = [
+    ("simulate_analytic", None, ["simulate", "--scheme", "analytic"]),
+    ("simulate_nspring", None, ["simulate", "--scheme", "nspring"]),
+    ("simulate_lumped", None, ["simulate", "--scheme", "lumped"]),
+    ("simulate_galerkin", None, ["simulate", "--scheme", "galerkin"]),
+    ("analytic", None, ["analytic"]),
+    ("converge_nspring", None, ["converge", "--scheme", "nspring"]),
+    ("converge_lumped", None, ["converge", "--scheme", "lumped"]),
+    ("converge_galerkin", None, ["converge", "--scheme", "galerkin"]),
+    ("sweep_k_omega", None, ["sweep", "--axis", "k_omega", "--from", "1e-3", "--to", "1e3", "--points", "25", "--log"]),
+    ("sweep_eps_tilde", None, ["sweep", "--axis", "eps_tilde", "--from", "0", "--to", "0.99", "--points", "12"]),
+    ("optimize", None, ["optimize"]),
+    # error paths: each exits nonzero with one stderr line and should leave no file
+    ("error_sweep_no_successful_point", {"Lambda": 1.0},
+     ["sweep", "--axis", "k_omega", "--from", "1e305", "--to", "1e306", "--points", "2", "--log"]),
+    ("error_sweep_k_tilde_underflow", None,
+     ["sweep", "--axis", "k_omega", "--from", "1e-320", "--to", "1", "--points", "3", "--log"]),
+    ("error_config_zero_springs", {"n_springs": 0}, ["optimize"]),
+    ("error_simulate_dt_not_dividing", None, ["simulate", "--scheme", "nspring", "--dt", "0.3"]),
+    ("error_converge_bad_n_list", None, ["converge", "--n-list", "25,abc,50"]),
+    ("error_config_unknown_key", {"stiffness": 1.0}, ["analytic"]),
+]
+
+
+def digest(checkout: Path) -> list[str]:
+    src = (checkout / "src").resolve()
+    if not (src / "springswim").is_dir():
+        raise SystemExit(f"error: no springswim package under {src}")
+    artifacts, commands = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONPYCACHEPREFIX": os.path.join(tmp, "pycache")}
+        for label, config, args in COMMANDS:
+            out = Path(tmp, label)
+            out.mkdir()
+            if config is not None:
+                (out / "config.json").write_text(json.dumps(config))
+                args = [*args, "--config", "config.json"]
+            run = subprocess.run(
+                [sys.executable, "-m", "springswim", *args, "--out", "artifacts"],
+                cwd=out, env=env, capture_output=True, text=True, check=False,
+            )
+            first = (run.stderr.splitlines() or [""])[0].replace(tmp, "<tmp>")
+            commands.append(f"exit={run.returncode} {label} {first}".rstrip())
+            for path in sorted(out.rglob("*")):
+                if path.is_file() and path.name != "config.json":
+                    sha = hashlib.sha256(path.read_bytes()).hexdigest()
+                    artifacts.append(f"{sha} {label} {path.relative_to(out).as_posix()}")
+    return sorted(artifacts) + sorted(commands)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit("usage: python3 tools/artifact_digest.py CHECKOUT")
+    print("\n".join(digest(Path(sys.argv[1]))))
