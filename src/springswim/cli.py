@@ -222,15 +222,8 @@ def cmd_simulate(args, params: SwimmerParams, forcing: Forcing, out: Path) -> li
 
 
 def _rate_payload(estimate: RateEstimate) -> dict:
-    payload = {
-        "slope": estimate.slope,
-        "intercept": estimate.intercept,
-        "r_squared": estimate.r_squared,
-        "n_points": estimate.n_points,
-    }
-    if estimate.refit is not None:
-        payload["refit"] = _rate_payload(estimate.refit)
-    return payload
+    """The fit's fields as JSON; a refit key appears only where there is a refit, at any depth."""
+    return asdict(estimate, dict_factory=lambda items: {key: value for key, value in items if value is not None})
 
 
 def cmd_converge(args, params: SwimmerParams, forcing: Forcing, out: Path) -> list[Path]:
@@ -261,6 +254,7 @@ def cmd_sweep(args, params: SwimmerParams, forcing: Forcing, out: Path) -> list[
         values = np.linspace(args.start, args.stop, args.points)
     table = sweep(params, forcing, args.axis, values)
     displacements = table.displacements()
+    best = table.argbest()  # on either axis: no successful point raises, before any file is written
     payload = {
         "axis": table.axis,
         "n": params.n_springs,
@@ -272,7 +266,6 @@ def cmd_sweep(args, params: SwimmerParams, forcing: Forcing, out: Path) -> list[
     }
     if table.axis == "k_omega":
         payload["eps_tilde"] = forcing.eps_tilde
-        best = table.argbest()
         payload["peak"] = {
             "k_omega": table.values[best],
             "displacement_m": float(displacements[best]),
@@ -280,7 +273,6 @@ def cmd_sweep(args, params: SwimmerParams, forcing: Forcing, out: Path) -> list[
     else:
         ok = [(v, abs(d)) for v, d in zip(table.values, displacements) if v > 0 and math.isfinite(d) and d != 0.0]
         payload["log_log_slope"] = float(np.polyfit(*map(np.log, zip(*ok)), 1)[0]) if len(ok) >= 2 else None
-    # the payload comes first: argbest raises for a k_omega sweep with no successful point, before any file is written
     csv_path, json_path = out / f"sweep_{args.axis}.csv", out / f"sweep_{args.axis}.json"
     _write_csv({csv_path: b"parameter,displacement_m\n"}, [(np.column_stack([table.values, displacements]),)])
     _write_json(json_path, payload)
@@ -290,15 +282,9 @@ def cmd_sweep(args, params: SwimmerParams, forcing: Forcing, out: Path) -> list[
 def cmd_optimize(args, params: SwimmerParams, forcing: Forcing, out: Path) -> list[Path]:
     result = optimize_k_omega(params, forcing, bracket=tuple(args.bracket), rel_tol=args.rel_tol)
     path = out / "optimize.json"
-    _write_json(
-        path,
-        {
-            "k_omega_opt": result.k_omega_opt,
-            "k_tilde_equiv": result.k_tilde_equiv,
-            "displacement_m": result.displacement,
-            "iterations": result.iterations,
-        },
-    )
+    payload = asdict(result)
+    payload["displacement_m"] = payload.pop("displacement")
+    _write_json(path, payload)
     return [path]
 
 

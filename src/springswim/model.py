@@ -14,7 +14,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -30,8 +30,6 @@ DEFAULTS = {
     "eps_tilde": 0.7,
     "omega": 1.0,
 }
-
-_PARAM_KEYS = ("a_tilde", "a1", "Lambda", "k_tilde", "mu", "n_springs")
 
 
 @functools.cache  # by type: isinstance against an ABC would be most of the cost of a check
@@ -81,9 +79,9 @@ class SwimmerParams:
     n_springs: int = 2000
 
     def __post_init__(self) -> None:
-        for name in ("a_tilde", "a1", "Lambda", "k_tilde", "mu"):
-            object.__setattr__(self, name, positive_real(name, getattr(self, name)))
-        object.__setattr__(self, "n_springs", positive_count("n_springs", self.n_springs))
+        for field in fields(self):
+            check = positive_count if field.name == "n_springs" else positive_real
+            object.__setattr__(self, field.name, check(field.name, getattr(self, field.name)))
         positive_real("relaxation_rate", self.relaxation_rate)  # K can under- or overflow
 
     @property
@@ -159,18 +157,18 @@ def config_from_mapping(raw: dict) -> tuple[SwimmerParams, Forcing]:
     merged = {**DEFAULTS, **raw}
     if isinstance(merged["n_springs"], float) and merged["n_springs"].is_integer():
         merged["n_springs"] = int(merged["n_springs"])  # JSON has no integer type
-    params = SwimmerParams(**{key: merged[key] for key in _PARAM_KEYS})
+    params = SwimmerParams(**{field.name: merged[field.name] for field in fields(SwimmerParams)})
     forcing = Forcing(eps_tilde=merged["eps_tilde"], omega=merged["omega"], L_ref=merged["L"])
     return params, forcing
 
 
 def load_config(path) -> tuple[SwimmerParams, Forcing]:
-    """Read a JSON parameter file (see DEFAULTS for the key set); a malformed or non-object file is named."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """Read a JSON parameter file (see DEFAULTS for the key set); every error in its content names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        except ValueError as exc:  # malformed JSON or undecodable bytes
-            raise ValueError(f"config {path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ValueError(f"config {path}: root must be a JSON object")
-    return config_from_mapping(raw)
+        if not isinstance(raw, dict):
+            raise ValueError("root must be a JSON object")
+        return config_from_mapping(raw)
+    except ValueError as exc:  # malformed JSON or bytes, a non-object root, an unknown key or a bad value
+        raise ValueError(f"config {path}: {exc}") from None

@@ -17,7 +17,8 @@ from springswim.analytic import build_discrete_mode
 from springswim.cli import _BLOCK, _SLICE, _format, _write_csv, main
 from springswim.displacement import instantaneous_v1
 from springswim.fem import MassVariant, assemble, harmonic_state, solve_transient
-from springswim.model import DEFAULTS, load_config
+from springswim.metrics import convergence_study, fit_rate
+from springswim.model import DEFAULTS, config_from_mapping, load_config
 
 
 def run(argv):
@@ -245,6 +246,22 @@ class TestConverge:
         assert payload["l2"]["slope"] == pytest.approx(1.0, abs=0.15)
         assert payload["h1"]["slope"] == pytest.approx(1.0, abs=0.15)
         assert payload["steps_per_period"] is None
+
+    def test_refit_payload_is_the_fit_at_every_depth(self, tmp_path):
+        # at n = 1..5 the h1 fit is poor over 5 and over 4 points, so its refit has a refit; the l2 fit has none
+        assert run(["converge", "--out", tmp_path, "--scheme", "nspring", "--n-list", "1,2,3,4,5"]) == 0
+        payload = json.loads((tmp_path / "convergence_nspring.json").read_text())
+        records = convergence_study(*config_from_mapping({}), MassVariant.NSPRING, [1, 2, 3, 4, 5])
+        for norm, levels in (("l2", 1), ("h1", 3)):
+            written, fit = payload[norm], fit_rate(records, norm)
+            for _ in range(levels):
+                assert ("refit" in written) == (fit.refit is not None)  # no null refit key
+                refit = written.pop("refit", None)
+                assert written == {
+                    "slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared, "n_points": fit.n_points
+                }
+                written, fit = refit, fit.refit
+            assert fit is None
 
     def test_lumped_slope_two(self, tmp_path):
         config = write_config(tmp_path)
@@ -642,14 +659,14 @@ class TestErrorHandling:
         config.write_text('{"young_modulus": 3}')
         assert run(["analytic", "--config", config, "--out", tmp_path]) == 1
         err = capsys.readouterr().err
-        assert err == "error: unknown config keys: young_modulus\n"
+        assert err == f"error: config {config}: unknown config keys: young_modulus\n"
 
     def test_json_boolean_exits_1(self, tmp_path, capsys):
         # true used to pass as n_springs = 1 and failed inside numpy
         config = write_config(tmp_path, n_springs=True)
         sweep = ["sweep", "--axis", "k_omega", "--from", "0.1", "--to", "1", "--points", "3"]
         assert run([*sweep, "--config", config, "--out", tmp_path]) == 1
-        assert capsys.readouterr().err == "error: n_springs must be an integer >= 1, got True\n"
+        assert capsys.readouterr().err == f"error: config {config}: n_springs must be an integer >= 1, got True\n"
 
     @pytest.mark.parametrize(
         "arm, message",
@@ -662,7 +679,7 @@ class TestErrorHandling:
         # the config key L is validated as Forcing.L_ref, the one arm length the drift reads
         config = write_config(tmp_path, L=arm)
         assert run(["optimize", "--config", config, "--out", tmp_path]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: config {config}: {message}\n"
 
 
 COLD_PATHS = """

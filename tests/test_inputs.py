@@ -120,7 +120,7 @@ def test_underflowed_rate_exits_1_naming_it(tmp_path, capsys, command):
     config.write_text('{"k_tilde": 1e-300, "mu": 1e30, "n_springs": 8}')
     out = tmp_path / "out"
     assert cli.main([*command, "--config", str(config), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: relaxation_rate must be positive and finite, got 0.0\n"
+    assert capsys.readouterr().err == f"error: config {config}: relaxation_rate must be positive and finite, got 0.0\n"
     assert list(tmp_path.rglob("*.csv")) == []
 
 
@@ -142,7 +142,19 @@ def test_cli_types_exit_2(tmp_path, capsys, flag, text, message):
     assert capsys.readouterr().err == f"error: argument {flag}: {message}\n"
 
 
-@pytest.mark.parametrize("text", ["", '{"mu": 1e-3,', "[1, 2]"], ids=["empty", "malformed", "non-object"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        '{"mu": 1e-3,',
+        "[1, 2]",
+        '{"stiffness": 1.0}',
+        '{"n_springs": 0}',
+        '{"eps_tilde": true}',
+        '{"k_tilde": 1e-300, "mu": 1e30}',
+    ],
+    ids=["empty", "malformed", "non-object", "unknown-key", "bad-value", "boolean", "underflowed-rate"],
+)
 def test_unreadable_config_exits_1_naming_the_file(tmp_path, capsys, text):
     config = tmp_path / "config.json"
     config.write_text(text)
@@ -189,16 +201,19 @@ def test_retuned_k_tilde_out_of_range_exits_1_naming_k_omega(tmp_path, capsys, c
 
 
 @pytest.mark.parametrize(
-    "points, start, stop",
-    [("2", "1e305", "1e306"), ("1", "1e306", "1e306")],
-    ids=["two-points", "one-point"],
+    "config, command",
+    [
+        ('{"Lambda": 1.0}', ["--axis", "k_omega", "--from", "1e305", "--to", "1e306", "--points", "2", "--log"]),
+        ('{"Lambda": 1.0}', ["--axis", "k_omega", "--from", "1e306", "--to", "1e306", "--points", "1", "--log"]),
+        ('{"Lambda": 1.0, "k_tilde": 1.7e298}', ["--axis", "eps_tilde", "--from", "0.1", "--to", "0.5", "--points", "3"]),
+    ],
+    ids=["two-points", "one-point", "eps_tilde"],
 )
-def test_sweep_with_no_successful_point_writes_nothing(tmp_path, capsys, points, start, stop):
-    # at Lambda = 1 every point's 2*cond overflows, so harmonic_state rejects each system
-    config = tmp_path / "config.json"
-    config.write_text('{"Lambda": 1.0}')
-    command = ["sweep", "--axis", "k_omega", "--from", start, "--to", stop, "--points", points, "--log"]
+def test_sweep_with_no_successful_point_writes_nothing(tmp_path, capsys, config, command):
+    # at Lambda = 1 and k_omega near 1e305 every point's 2*cond overflows, so harmonic_state rejects each system
+    config_path = tmp_path / "config.json"
+    config_path.write_text(config)
     out = tmp_path / "out"
-    assert cli.main([*command, "--config", str(config), "--out", str(out)]) == 1
+    assert cli.main(["sweep", *command, "--config", str(config_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: sweep produced no successful points\n"
-    assert not (out / "sweep_k_omega.csv").exists() and not (out / "sweep_k_omega.json").exists()
+    assert list(out.iterdir()) == []

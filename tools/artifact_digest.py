@@ -21,7 +21,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-# (label, config mapping or None for the defaults, CLI arguments)
+# (label, config JSON value or None for the defaults, CLI arguments)
 COMMANDS = [
     ("simulate_analytic", None, ["simulate", "--scheme", "analytic"]),
     ("simulate_nspring", None, ["simulate", "--scheme", "nspring"]),
@@ -31,18 +31,22 @@ COMMANDS = [
     ("converge_nspring", None, ["converge", "--scheme", "nspring"]),
     ("converge_lumped", None, ["converge", "--scheme", "lumped"]),
     ("converge_galerkin", None, ["converge", "--scheme", "galerkin"]),
+    ("converge_nspring_two_level_refit", None, ["converge", "--scheme", "nspring", "--n-list", "1,2,3,4,5"]),
     ("sweep_k_omega", None, ["sweep", "--axis", "k_omega", "--from", "1e-3", "--to", "1e3", "--points", "25", "--log"]),
     ("sweep_eps_tilde", None, ["sweep", "--axis", "eps_tilde", "--from", "0", "--to", "0.99", "--points", "12"]),
     ("optimize", None, ["optimize"]),
     # error paths: each exits nonzero with one stderr line and should leave no file
     ("error_sweep_no_successful_point", {"Lambda": 1.0},
      ["sweep", "--axis", "k_omega", "--from", "1e305", "--to", "1e306", "--points", "2", "--log"]),
+    ("error_sweep_eps_tilde_no_successful_point", {"Lambda": 1.0, "k_tilde": 1.7e298},
+     ["sweep", "--axis", "eps_tilde", "--from", "0.1", "--to", "0.5", "--points", "3"]),
     ("error_sweep_k_tilde_underflow", None,
      ["sweep", "--axis", "k_omega", "--from", "1e-320", "--to", "1", "--points", "3", "--log"]),
     ("error_config_zero_springs", {"n_springs": 0}, ["optimize"]),
     ("error_simulate_dt_not_dividing", None, ["simulate", "--scheme", "nspring", "--dt", "0.3"]),
     ("error_converge_bad_n_list", None, ["converge", "--n-list", "25,abc,50"]),
     ("error_config_unknown_key", {"stiffness": 1.0}, ["analytic"]),
+    ("error_config_root_not_object", [1], ["analytic"]),
 ]
 
 
