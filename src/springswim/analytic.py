@@ -65,7 +65,7 @@ def build_discrete_mode(params: SwimmerParams, forcing: Forcing) -> DiscreteMode
 
     c = 4 sinh(s/2)^2 makes exp(+-s) the roots of gamma^2 - (2 + c) gamma + 1 = 0. With em =
     expm1(-2 n s), z_d = exp(-s) expm1(-2 (n-1) s) / em, 1 - z_d = expm1(-s) (1 + exp(-(2n-1) s)) / em
-    and b_d = -(i eps/2)/(n k_omega) / ((1 - z_d) + a_tilde/(2 a1 n) + c), none with cancellation.
+    and b_d = -(i eps/2)/(n k_omega) / ((1 - z_d) + coupling/n + c), none with cancellation.
     s is 0 when k_omega n^2 overflows and not finite when c does; then, or when b_d overflows, a
     ValueError names k_omega and n. The scalars are Python complex numbers: no numpy warnings.
     """
@@ -75,7 +75,7 @@ def build_discrete_mode(params: SwimmerParams, forcing: Forcing) -> DiscreteMode
     s = 2.0 * cmath.asinh(cmath.sqrt(c) / 2.0)
     em = complex(np.expm1(-2.0 * n * s)) or cmath.nan  # 0 only when s is; then b_d is NaN
     one_minus_z = complex(np.expm1(-s)) * (1.0 + cmath.exp(-(2 * n - 1) * s)) / em
-    b_d = -0.5j * forcing.eps / (n * k_omega) / (one_minus_z + params.a_tilde / (2.0 * params.a1 * n) + c)
+    b_d = -0.5j * forcing.eps / (n * k_omega) / (one_minus_z + params.coupling / n + c)
     if not (cmath.isfinite(s) and cmath.isfinite(b_d)):
         raise ValueError(f"k_omega={k_omega!r}, n={n}: chain mode out of float range (s={s!r}, b_d={b_d!r})")
     return DiscreteModeShape(
@@ -138,7 +138,7 @@ def build_continuous_mode(params: SwimmerParams, forcing: Forcing) -> Continuous
     lam = params.Lambda
     r = (1.0 + 1j) / (lam * np.sqrt(2.0 * k_omega))
     m = np.expm1(-2.0 * r * lam)
-    denom = 2.0 * k_omega * (params.a_tilde / (2.0 * params.a1) * m - lam * r * (2.0 + m))
+    denom = 2.0 * k_omega * (params.coupling * m - lam * r * (2.0 + m))
     if not np.isfinite(denom) or denom == 0.0:
         raise ValueError("profile normalization degenerate; k_omega outside the usable range")
     return ContinuousModeShape(

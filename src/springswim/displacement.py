@@ -24,6 +24,8 @@ from .fem import MassVariant, assemble, harmonic_state
 from .model import Forcing, SwimmerParams, params_for_k_omega, positive_real
 
 SWEEP_AXES = ("eps_tilde", "k_omega")
+#: Oseen weights of the head velocity law (Golestanian & Ajdari 2004): head-driver terms, tail sum.
+HEAD, TAIL = 0.75, 1.5
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,12 +100,12 @@ def instantaneous_v1(params: SwimmerParams, forcing: Forcing, state: np.ndarray,
     cums = arm[..., None] + np.cumsum(ell[..., :n] / n + params.h, axis=-1)
     if np.any(arm <= 0.0) or np.any(cums <= 0.0):
         raise ValueError("unphysical state: non-positive cumulative arm length")
-    tail = 1.5 * params.a_tilde * k * np.sum((ell[..., :n] - ell[..., 1:]) / cums, axis=-1)
+    tail = TAIL * params.a_tilde * k * np.sum((ell[..., :n] - ell[..., 1:]) / cums, axis=-1)
     v1 = (
         0.5 * arm_rate
-        - (params.a_tilde / (2.0 * params.a1)) * k * ell[..., 0]
-        - 0.75 * params.a1 * arm_rate / arm
-        - 0.75 * k * params.a_tilde * ell[..., 0] / arm
+        - params.coupling * k * ell[..., 0]
+        - HEAD * params.a1 * arm_rate / arm
+        - HEAD * k * params.a_tilde * ell[..., 0] / arm
         + tail
     )
     return float(v1) if v1.ndim == 0 else v1
@@ -132,9 +134,9 @@ def _drift(params: SwimmerParams, forcing: Forcing, head_amp, tail) -> StrokeRes
     """
     k = params.relaxation_rate
     arm = forcing.L_ref
-    head = -0.75 * k * params.a_tilde * _period_mean(head_amp, arm * forcing.eps_tilde, arm)
+    head = -HEAD * k * params.a_tilde * _period_mean(head_amp, arm * forcing.eps_tilde, arm)
     return StrokeResult(
-        displacement=forcing.period * float(head + 1.5 * params.a_tilde * k * tail),
+        displacement=forcing.period * float(head + TAIL * params.a_tilde * k * tail),
         n=params.n_springs,
         quadrature_points=1,
     )
@@ -241,10 +243,11 @@ def optimize_k_omega(
 ) -> OptimizeResult:
     """Golden-section maximization of |displacement| over log k_omega.
 
-    The bracket must contain an interior maximum of the magnitude;
-    convergence at a bracket edge is reported as an error. rel_tol is the
-    final bracket width in log coordinates, i.e. the relative uncertainty
-    of the returned k_omega; one below the float spacing there is an error.
+    The bracket must contain an interior maximum of the magnitude. Golden
+    section never moves the end that a monotone magnitude runs into, so a
+    final bracket that still holds an end of the given one is an error.
+    rel_tol is the final bracket width in log coordinates, i.e. the relative
+    uncertainty of the returned k_omega; one below its float spacing is an error.
     m_quad is ignored, as in stroke_displacement_discrete.
     """
     lo, hi = (positive_real("bracket", end) for end in bracket)
@@ -277,10 +280,9 @@ def optimize_k_omega(
             fc = objective(c)
         iterations += 1
 
-    u_opt = 0.5 * (a + b)
-    if u_opt - math.log(lo) < 2.0 * rel_tol or math.log(hi) - u_opt < 2.0 * rel_tol:
-        raise ValueError("no interior extremum: optimizer converged at a bracket edge")
-    k_omega_opt = math.exp(u_opt)
+    if a == math.log(lo) or b == math.log(hi):
+        raise ValueError("no interior extremum found: the final bracket still holds an end of the search bracket")
+    k_omega_opt = math.exp(0.5 * (a + b))
     best = params_for_k_omega(params, forcing, k_omega_opt)
     result = stroke_displacement_discrete(best, forcing)
     return OptimizeResult(

@@ -68,7 +68,7 @@ def assemble(params: SwimmerParams, forcing: Forcing, variant: MassVariant) -> A
 
     Stiffness rows are the second-difference stencil scaled by
     Lambda^2*K/h, with the (1,1) entry reduced to one off-diagonal
-    contribution plus the Robin coupling Lambda*K*a_tilde/(2*a1).
+    contribution plus the Robin term Lambda*K*coupling (SwimmerParams.coupling).
     """
     if not isinstance(variant, MassVariant):
         raise ValueError(f"unknown mass variant {variant!r}")
@@ -81,7 +81,7 @@ def assemble(params: SwimmerParams, forcing: Forcing, variant: MassVariant) -> A
     }
     return AssembledSystem(
         n=params.n_springs,
-        stiffness=(cond + lam * k * params.a_tilde / (2.0 * params.a1), 2.0 * cond, -cond),
+        stiffness=(cond + lam * k * params.coupling, 2.0 * cond, -cond),
         mass=mass[variant],
         forcing=forcing,
         load_amplitude=-(lam / 2.0) * 1j * forcing.omega * forcing.eps,

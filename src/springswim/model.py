@@ -90,6 +90,11 @@ class SwimmerParams:
         return self.Lambda / self.n_springs
 
     @property
+    def coupling(self) -> float:
+        """Head-driver coupling a_tilde/(2 a1): a head-velocity term, and the Robin row of the tail's driven end."""
+        return self.a_tilde / (2.0 * self.a1)
+
+    @property
     def relaxation_rate(self) -> float:
         """Elastic relaxation rate k_tilde / (6 pi mu a_tilde), in 1/s; inf where the drag underflows."""
         drag = 6.0 * math.pi * self.mu * self.a_tilde

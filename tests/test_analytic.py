@@ -1,6 +1,7 @@
 """Closed-form periodic modes versus independent linear-algebra and ODE oracles."""
 
 import dataclasses
+import functools
 import math
 import re
 
@@ -367,3 +368,49 @@ class TestDiscreteContinuousConsistency:
             if previous is not None:
                 assert gap < 0.7 * previous
             previous = gap
+
+
+@functools.cache
+def chain_head_w(n):
+    """W = -i eps/(2 k_omega A_0) of the n-spring chain with head amplitude A_0, as a function of (K, omega, rho).
+
+    sympy solves the chain's n harmonic rows for A_0 directly, with no recurrence root and no z_d:
+    i omega h A_j = (Lambda^2 K/h)(A_{j-1} - 2 A_j + A_{j+1}) for j = 1..n-1 with A_n = 0 pinned, and
+    at the driven node i omega h A_0 = (Lambda^2 K/h)(A_1 - A_0) - Lambda K rho A_0 - (Lambda/2) i omega eps
+    with rho = a_tilde/(2 a1), h = Lambda/n and k_omega = K/omega. Lambda and eps cancel out of W.
+    """
+    import sympy
+
+    stiffness, omega, lam, eps, rho = sympy.symbols("K omega Lambda epsilon rho", positive=True)
+    amps = sympy.symbols(f"A0:{n}")
+    a = [*amps, 0]
+    h = lam / n
+    spring = lam**2 * stiffness / h
+    rows = [sympy.I * omega * h * a[0] - spring * (a[1] - a[0]) + lam * stiffness * rho * a[0]
+            + lam / 2 * sympy.I * omega * eps]
+    rows += [sympy.I * omega * h * a[j] - spring * (a[j - 1] - 2 * a[j] + a[j + 1]) for j in range(1, n)]
+    head = sympy.solve(rows, amps, dict=True)[0][amps[0]]
+    w = sympy.cancel(-sympy.I * eps * omega / (2 * stiffness * head))
+    assert w.free_symbols == {stiffness, omega, rho}
+    return sympy.lambdify((stiffness, omega, rho), w, "mpmath")
+
+
+class TestHeadCouplingFromTheChain:
+    """ROADMAP item 10: the head term's W = n (1 - z_d) + a_tilde/(2 a1) + i/(k_omega n), derived afresh."""
+
+    @pytest.mark.parametrize("a1", [1e-5, 3e-5])  # a_tilde/(2 a1) = 0.5, exact, and 1/6, rounded
+    @pytest.mark.parametrize("k_omega", [1e-2, 0.28, 1e2])
+    def test_symbolic_solve_matches_z_d(self, k_omega, a1):
+        pytest.importorskip("sympy")
+        n = 5
+        params, forcing = default_pair(n_springs=n, a1=a1)
+        mode = build_discrete_mode(params_for_k_omega(params, forcing, k_omega), forcing)
+        ratio = params.a_tilde / (2.0 * params.a1)
+        expected = n * (1.0 - mode.z_d) + ratio + 1j / (mode.k_omega * n)
+        with mpmath.workdps(30):
+            rho = mpmath.mpf(params.a_tilde) / (2 * mpmath.mpf(params.a1))
+            w = complex(chain_head_w(n)(mpmath.mpf(mode.k_omega), 1, rho))
+        assert abs(w - expected) <= 1e-12 * abs(expected)
+        # and the head amplitude the program builds is the one this W gives
+        head = -0.5j * forcing.eps / (mode.k_omega * w)
+        assert abs(mode.b_d - head) <= 1e-12 * abs(head)

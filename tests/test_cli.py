@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 from springswim import cli
 from springswim.analytic import build_discrete_mode
 from springswim.cli import _BLOCK, _SLICE, _format, _write_csv, main
-from springswim.displacement import instantaneous_v1
+from springswim.displacement import instantaneous_v1, stroke_displacement_discrete
 from springswim.fem import MassVariant, assemble, harmonic_state, solve_transient
 from springswim.metrics import convergence_study, fit_rate
 from springswim.model import DEFAULTS, config_from_mapping, load_config
@@ -109,6 +109,35 @@ class TestSimulate:
         assert code == 1
         expected = f"dt=1e-300 must divide t_end={2 * math.pi!r} into 1 to sys.maxsize={sys.maxsize} steps"
         assert capsys.readouterr().err == f"error: {expected}\n"
+
+    # relative gap between the head's advance x1(T) - x1(0) in positions.csv (the trapezoid rule on
+    # instantaneous_v1 over the closed-form orbit) and the exact period mean; measured worst 1.4e-12
+    # at (n = 2000, k_omega = 0.28), so the bound is 3.7x that. It sees the law's weights and the
+    # Robin row of both mode sources, not the term -coupling K l_0, whose period mean is zero
+    HEAD_ADVANCE_GAP = 5e-12
+
+    @pytest.mark.parametrize(
+        "overrides, samples",
+        [
+            ({"n_springs": 50}, 64),  # 1.9e-15
+            # k_omega = 0.28 exactly: 1.4e-12 (5.0e-13 at k_tilde = 4.7e-8, k_omega 0.2802)
+            ({"n_springs": 2000, "k_tilde": 0.28 * 6 * math.pi * DEFAULTS["mu"] * DEFAULTS["a_tilde"]}, 200),
+            ({"n_springs": 50, "k_tilde": 1e-4, "eps_tilde": 0.5}, 64),  # k_omega about 596: 4.8e-13
+            ({"n_springs": 50, "eps_tilde": 0.999}, 2000),  # a nearly closed arm: 1.8e-14 (2.7e-4 at 200)
+            ({"n_springs": 1, "a1": 3e-5}, 64),  # a_tilde/a1 = 1/3, no power of two: 8.2e-15
+            ({"n_springs": 3, "a1": 3e-5}, 64),  # 6.6e-15
+        ],
+        ids=["n50", "n2000-k0.28", "n50-stiff", "eps0.999", "n1-a1", "n3-a1"],
+    )
+    def test_head_advance_is_the_stroke_displacement(self, tmp_path, overrides, samples):
+        # ROADMAP item 16: the time-domain law of the CSV and the period-mean kernel are one velocity law
+        config = write_config(tmp_path, **overrides)
+        args = ["simulate", "--scheme", "analytic", "--config", config, "--out", tmp_path, "--samples", samples]
+        assert run(args) == 0
+        _, rows = read_csv(tmp_path / "positions.csv")
+        advance = float(rows[-1][1]) - float(rows[0][1])
+        expected = stroke_displacement_discrete(*load_config(config)).displacement
+        assert abs(advance - expected) <= self.HEAD_ADVANCE_GAP * abs(expected)
 
     @pytest.mark.parametrize("scheme", ["nspring", "lumped", "galerkin"])
     def test_bare_stepped_command_uses_its_default_step(self, tmp_path, scheme):
@@ -528,18 +557,20 @@ class TestCsvWriter:
 class TestOptimize:
     def test_json_record(self, tmp_path):
         config = write_config(tmp_path, n_springs=80)
-        code = run(
-            [
-                "optimize", "--config", config, "--out", tmp_path,
-                "--bracket", "1e-2", "1e2", "--rel-tol", "1e-3",
-            ]
-        )
-        assert code == 0
-        payload = json.loads((tmp_path / "optimize.json").read_text())
-        assert set(payload) == {"k_omega_opt", "k_tilde_equiv", "displacement_m", "iterations"}
-        assert 0.2 < payload["k_omega_opt"] < 0.4
-        assert payload["displacement_m"] < 0.0
-        assert payload["iterations"] > 0
+        for rel_tol in ("1e-3", "2"):  # a coarse tolerance is no bracket edge
+            out = tmp_path / rel_tol
+            code = run(
+                [
+                    "optimize", "--config", config, "--out", out,
+                    "--bracket", "1e-2", "1e2", "--rel-tol", rel_tol,
+                ]
+            )
+            assert code == 0
+            payload = json.loads((out / "optimize.json").read_text())
+            assert set(payload) == {"k_omega_opt", "k_tilde_equiv", "displacement_m", "iterations"}
+            assert 0.2 < payload["k_omega_opt"] < 0.4
+            assert payload["displacement_m"] < 0.0
+            assert payload["iterations"] > 0
 
     def test_edge_bracket_fails(self, tmp_path, capsys):
         config = write_config(tmp_path, n_springs=50)

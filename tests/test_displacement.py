@@ -694,10 +694,13 @@ class TestOptimize:
                 optimize_k_omega(params, forcing, rel_tol=rel_tol)
 
     def test_no_interior_extremum_detected(self):
-        # |displacement| is decreasing on [10, 100]; the search hits the edge
+        # |displacement| decreases on [10, 100] and increases on [1e-4, 1e-2]: the search keeps that
+        # end at any tolerance, also one past ln(100/10), where no iteration runs
         params, forcing = default_pair(n_springs=100)
-        with pytest.raises(ValueError, match="interior"):
-            optimize_k_omega(params, forcing, bracket=(10.0, 100.0))
+        for bracket in ((10.0, 100.0), (1e-4, 1e-2)):
+            for rel_tol in (1e-4, 2.0, 10.0):
+                with pytest.raises(ValueError, match="^no interior extremum found: the final bracket still holds"):
+                    optimize_k_omega(params, forcing, bracket=bracket, rel_tol=rel_tol)
 
     @pytest.mark.parametrize("rel_tol", [2e-16, 1e-300])
     def test_rel_tol_below_float_spacing_fails_fast(self, rel_tol):
@@ -716,10 +719,12 @@ class TestOptimize:
 
     def test_reports_iteration_count(self):
         params, forcing = default_pair(n_springs=100)
-        result = optimize_k_omega(params, forcing, rel_tol=1e-2)
         width = math.log(1e2) - math.log(1e-2)
-        expected = math.ceil(math.log(1e-2 / width) / math.log((math.sqrt(5.0) - 1.0) / 2.0))
-        assert result.iterations == expected
+        # at 2.0 the final bracket in ln k_omega is [-1.600, -0.257], clear of both ends: no edge
+        for rel_tol in (1e-2, 2.0):
+            result = optimize_k_omega(params, forcing, rel_tol=rel_tol)
+            expected = math.ceil(math.log(rel_tol / width) / math.log((math.sqrt(5.0) - 1.0) / 2.0))
+            assert result.iterations == expected
 
 
 

@@ -35,6 +35,18 @@ COMMANDS = [
     ("sweep_k_omega", None, ["sweep", "--axis", "k_omega", "--from", "1e-3", "--to", "1e3", "--points", "25", "--log"]),
     ("sweep_eps_tilde", None, ["sweep", "--axis", "eps_tilde", "--from", "0", "--to", "0.99", "--points", "12"]),
     ("optimize", None, ["optimize"]),
+    # small chains with a_tilde/a1 = 1/3: the Robin term is a large share of row 0 and the coupling
+    # a_tilde/(2 a1) is rounded, so a change in how either is computed shows here
+    *[
+        (f"{label}_n{n}", {"n_springs": n, "a1": 3e-5}, args)
+        for n in (1, 3)
+        for label, args in (
+            ("sweep_k_omega",
+             ["sweep", "--axis", "k_omega", "--from", "1e-3", "--to", "1e3", "--points", "25", "--log"]),
+            ("simulate_nspring", ["simulate", "--scheme", "nspring"]),
+            ("analytic", ["analytic"]),
+        )
+    ],
     # error paths: each exits nonzero with one stderr line and should leave no file
     ("error_sweep_no_successful_point", {"Lambda": 1.0},
      ["sweep", "--axis", "k_omega", "--from", "1e305", "--to", "1e306", "--points", "2", "--log"]),
