@@ -24,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import build_discrete_mode
-from .displacement import instantaneous_v1, optimize_k_omega, sweep
+from .displacement import BRACKET, REL_TOL, instantaneous_v1, optimize_k_omega, sweep
 from .fem import CrankNicolson, MassVariant, assemble, step_count
-from .metrics import RateEstimate, convergence_study, fit_rate
+from .metrics import STEPS_PER_PERIOD, RateEstimate, convergence_study, fit_rate
 from .model import Forcing, SwimmerParams, config_from_mapping, load_config, positive_count, positive_real
 
 
@@ -227,7 +227,7 @@ def _rate_payload(estimate: RateEstimate) -> dict:
 
 
 def cmd_converge(args, params: SwimmerParams, forcing: Forcing, out: Path) -> list[Path]:
-    steps = args.steps_per_period or 16384  # flag not given: the stepped schemes' default
+    steps = args.steps_per_period or STEPS_PER_PERIOD  # flag not given: the stepped schemes' default
     records = convergence_study(params, forcing, MassVariant(args.scheme), args.n_list, steps_per_period=steps)
     csv_path = out / f"convergence_{args.scheme}.csv"
     table = np.array([[r.n, params.Lambda / r.n, r.l2_error, r.h1_error] for r in records])
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--n-list", type=grid_sizes, default="25,50,100,200,400,800", help="comma-separated grid sizes"
     )
-    p.add_argument("--steps-per-period", type=positive_int, default=None, help="default: 16384")
+    p.add_argument("--steps-per-period", type=positive_int, default=None, help=f"default: {STEPS_PER_PERIOD}")
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("sweep", parents=[common], help="displacement along one parameter axis")
@@ -369,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("optimize", parents=[common], help="maximize |displacement| over k_omega")
-    p.add_argument("--bracket", nargs=2, type=positive_float, default=[1e-2, 1e2], metavar=("LO", "HI"))
-    p.add_argument("--rel-tol", type=positive_float, default=1e-4)
+    p.add_argument("--bracket", nargs=2, type=positive_float, default=BRACKET, metavar=("LO", "HI"))
+    p.add_argument("--rel-tol", type=positive_float, default=REL_TOL)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("analytic", parents=[common], help="closed-form node values on a time grid")

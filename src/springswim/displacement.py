@@ -26,6 +26,7 @@ from .model import Forcing, SwimmerParams, params_for_k_omega, positive_real
 SWEEP_AXES = ("eps_tilde", "k_omega")
 #: Oseen weights of the head velocity law (Golestanian & Ajdari 2004): head-driver terms, tail sum.
 HEAD, TAIL = 0.75, 1.5
+BRACKET, REL_TOL = (1e-2, 1e2), 1e-4  # optimize_k_omega's defaults: k_omega bracket, final log-bracket width
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,8 +134,7 @@ def _drift(params: SwimmerParams, forcing: Forcing, head_amp, tail) -> StrokeRes
     head term is the period mean of head_amp / L0(t).
     """
     k = params.relaxation_rate
-    arm = forcing.L_ref
-    head = -HEAD * k * params.a_tilde * _period_mean(head_amp, arm * forcing.eps_tilde, arm)
+    head = -HEAD * k * params.a_tilde * _period_mean(head_amp, forcing.eps, forcing.L_ref)
     return StrokeResult(
         displacement=forcing.period * float(head + TAIL * params.a_tilde * k * tail),
         n=params.n_springs,
@@ -160,7 +160,7 @@ def stroke_displacement_discrete(
     """
     n = params.n_springs
     amps = np.append(harmonic_state(assemble(params, forcing, MassVariant.NSPRING)), 0.0)
-    b = forcing.L_ref * forcing.eps_tilde + np.cumsum(amps[:n]) / n
+    b = forcing.eps + np.cumsum(amps[:n]) / n
     d = forcing.L_ref + params.h * np.arange(1, n + 1)
     return _drift(params, forcing, amps[0], np.sum(_period_mean(amps[:n] - amps[1:], b, d)))
 
@@ -192,7 +192,7 @@ def stroke_displacement_continuous(params: SwimmerParams, forcing: Forcing) -> S
     lam = params.Lambda
     unit_y, unit_w = _unit_y_rule()
     y = lam * unit_y
-    b = forcing.L_ref * forcing.eps_tilde + mode.profile_integral(y) / lam
+    b = forcing.eps + mode.profile_integral(y) / lam
     means = _period_mean(mode.profile_gradient(y), b, forcing.L_ref + y)
     return _drift(params, forcing, mode.profile(0.0), -lam * (unit_w @ means))
 
@@ -213,7 +213,7 @@ def sweep(
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    values = tuple(values)
+    values = tuple(v.item() if isinstance(v, np.number) else v for v in values)  # errors name 1.5, not np.float64
     if axis == "eps_tilde":  # every point's Forcing or retuned params checks its value here
         points = [(params, dc_replace(forcing, eps_tilde=v)) for v in values]
     else:
@@ -237,8 +237,8 @@ def sweep(
 def optimize_k_omega(
     params: SwimmerParams,
     forcing: Forcing,
-    bracket: tuple[float, float] = (1e-2, 1e2),
-    rel_tol: float = 1e-4,
+    bracket: tuple[float, float] = BRACKET,
+    rel_tol: float = REL_TOL,
     m_quad: int | None = None,
 ) -> OptimizeResult:
     """Golden-section maximization of |displacement| over log k_omega.

@@ -17,6 +17,8 @@ from .analytic import ContinuousModeShape, build_continuous_mode
 from .fem import MassVariant, assemble, harmonic_state, solve_transient
 from .model import Forcing, SwimmerParams, positive_count
 
+STEPS_PER_PERIOD = 16384  # Crank-Nicolson steps per period of the stepped convergence study
+
 
 @dataclass(frozen=True)
 class ErrorRecord:
@@ -125,7 +127,7 @@ def convergence_study(
     forcing: Forcing,
     variant: MassVariant,
     n_list: list[int],
-    steps_per_period: int = 16384,
+    steps_per_period: int = STEPS_PER_PERIOD,
 ) -> list[ErrorRecord]:
     """Errors of the chosen scheme against the continuous profile over a grid sweep.
 

@@ -76,7 +76,7 @@ class SwimmerParams:
     Lambda: float
     k_tilde: float
     mu: float
-    n_springs: int = 2000
+    n_springs: int = DEFAULTS["n_springs"]
 
     def __post_init__(self) -> None:
         for field in fields(self):
@@ -134,7 +134,7 @@ class Forcing:
 
     def arm_velocity(self, t):
         """dL0/dt at time t."""
-        return -self.L_ref * self.eps_tilde * self.omega * np.sin(self.omega * np.asarray(t, dtype=float))
+        return -self.eps * self.omega * np.sin(self.omega * np.asarray(t, dtype=float))
 
 
 def k_omega_of(params: SwimmerParams, forcing: Forcing) -> float:

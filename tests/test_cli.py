@@ -361,6 +361,21 @@ class TestSweep:
         assert None not in payload["displacements"]  # a failed point is written as null
         assert payload["failures"] == [None] * 3
 
+    @pytest.mark.parametrize(
+        ("axis", "start", "stop", "message"),
+        [
+            ("eps_tilde", "0", "1.5", "eps_tilde must be a real number in [0, 1), got 1.5"),
+            ("eps_tilde", "-1", "1", "eps_tilde must be a real number in [0, 1), got -1.0"),
+            ("k_omega", "-1", "1", "k_omega must be positive and finite, got -1.0"),
+        ],
+    )
+    def test_bad_point_error_prints_a_plain_number(self, tmp_path, capsys, axis, start, stop, message):
+        # the points come from a numpy array; the error names the value, not np.float64(...)
+        code = run(["sweep", "--axis", axis, "--from", start, "--to", stop, "--points", "3", "--out", tmp_path])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_arm_length_key_reaches_the_drift(self, tmp_path):
         sweep = ["sweep", "--axis", "k_omega", "--from", "0.1", "--to", "1", "--points", "2"]
         payloads = []

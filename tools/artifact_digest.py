@@ -8,7 +8,8 @@ bytecode compiled from another checkout is reused. The output has one line per a
 "sha256 label file", then one line per command, "exit=N label first-stderr-line", each group
 sorted; the temporary directory is written as <tmp> in stderr lines. Two checkouts that write
 the same bytes and fail the same way give the same output, so `diff` of two digests is the
-byte-identity check of a change (for example against `git archive` of its parent).
+byte-identity check of a change (for example against `git archive` of its parent). The commands
+run concurrently, one per core; each has its own directory, so the order they finish in is unread.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 # (label, config JSON value or None for the defaults, CLI arguments)
@@ -66,26 +68,32 @@ def digest(checkout: Path) -> list[str]:
     src = (checkout / "src").resolve()
     if not (src / "springswim").is_dir():
         raise SystemExit(f"error: no springswim package under {src}")
-    artifacts, commands = [], []
     with tempfile.TemporaryDirectory() as tmp:
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONPYCACHEPREFIX": os.path.join(tmp, "pycache")}
-        for label, config, args in COMMANDS:
+
+        def run(command) -> tuple[list[str], str]:
+            """The artifact lines and the command line of one command."""
+            label, config, args = command
             out = Path(tmp, label)
             out.mkdir()
             if config is not None:
                 (out / "config.json").write_text(json.dumps(config))
                 args = [*args, "--config", "config.json"]
-            run = subprocess.run(
+            proc = subprocess.run(
                 [sys.executable, "-m", "springswim", *args, "--out", "artifacts"],
                 cwd=out, env=env, capture_output=True, text=True, check=False,
             )
-            first = (run.stderr.splitlines() or [""])[0].replace(tmp, "<tmp>")
-            commands.append(f"exit={run.returncode} {label} {first}".rstrip())
+            lines = []
             for path in sorted(out.rglob("*")):
                 if path.is_file() and path.name != "config.json":
                     sha = hashlib.sha256(path.read_bytes()).hexdigest()
-                    artifacts.append(f"{sha} {label} {path.relative_to(out).as_posix()}")
-    return sorted(artifacts) + sorted(commands)
+                    lines.append(f"{sha} {label} {path.relative_to(out).as_posix()}")
+            first = (proc.stderr.splitlines() or [""])[0].replace(tmp, "<tmp>")
+            return lines, f"exit={proc.returncode} {label} {first}".rstrip()
+
+        with ThreadPoolExecutor(os.cpu_count()) as pool:
+            results = list(pool.map(run, COMMANDS))
+    return sorted(line for lines, _ in results for line in lines) + sorted(line for _, line in results)
 
 
 if __name__ == "__main__":
