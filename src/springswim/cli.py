@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import build_discrete_mode
-from .displacement import BRACKET, REL_TOL, instantaneous_v1, optimize_k_omega, sweep
+from .displacement import BRACKET, REL_TOL, SWEEP_AXES, instantaneous_v1, optimize_k_omega, sweep
 from .fem import CrankNicolson, MassVariant, assemble, step_count
 from .metrics import STEPS_PER_PERIOD, RateEstimate, convergence_study, fit_rate
 from .model import Forcing, SwimmerParams, config_from_mapping, load_config, positive_count, positive_real
@@ -238,7 +238,7 @@ def cmd_converge(args, params: SwimmerParams, forcing: Forcing, out: Path) -> li
         {
             "scheme": args.scheme,
             "n": args.n_list,
-            "steps_per_period": None if args.scheme == "nspring" else steps,
+            "steps_per_period": None if args.scheme == MassVariant.NSPRING.value else steps,
             "l2": _rate_payload(fit_rate(records, "l2")),
             "h1": _rate_payload(fit_rate(records, "h1")),
         },
@@ -266,10 +266,8 @@ def cmd_sweep(args, params: SwimmerParams, forcing: Forcing, out: Path) -> list[
     }
     if table.axis == "k_omega":
         payload["eps_tilde"] = forcing.eps_tilde
-        payload["peak"] = {
-            "k_omega": table.values[best],
-            "displacement_m": float(displacements[best]),
-        }
+        peak = float(displacements[best])  # 0.0 when no point moves (eps_tilde = 0): then there is no peak
+        payload["peak"] = {"k_omega": table.values[best], "displacement_m": peak} if peak != 0.0 else None
     else:
         ok = [(v, abs(d)) for v, d in zip(table.values, displacements) if v > 0 and math.isfinite(d) and d != 0.0]
         payload["log_log_slope"] = float(np.polyfit(*map(np.log, zip(*ok)), 1)[0]) if len(ok) >= 2 else None
@@ -338,12 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
     parser = _Parser(prog="springswim", description=__doc__.splitlines()[0])
+    schemes = [variant.value for variant in MassVariant]
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("simulate", parents=[common], help="stroke time series and positions")
     p.add_argument(
         "--scheme",
-        choices=["analytic", "nspring", "lumped", "galerkin"],
+        choices=["analytic", *schemes],
         default="analytic",
         help="closed-form periodic mode or a time-stepped mass variant",
     )
@@ -353,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("converge", parents=[common], help="error table and fitted slopes")
-    p.add_argument("--scheme", choices=["nspring", "lumped", "galerkin"], default="nspring")
+    p.add_argument("--scheme", choices=schemes, default=MassVariant.NSPRING.value)
     p.add_argument(
         "--n-list", type=grid_sizes, default="25,50,100,200,400,800", help="comma-separated grid sizes"
     )
@@ -361,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("sweep", parents=[common], help="displacement along one parameter axis")
-    p.add_argument("--axis", choices=["eps_tilde", "k_omega"], required=True)
+    p.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--points", type=positive_int, required=True)
@@ -385,7 +384,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.func is cmd_simulate and args.scheme == "analytic" and args.dt is not None:
         parser.error("argument --dt: only the stepped schemes take a time step, not --scheme analytic")
-    if args.func is cmd_converge and args.scheme == "nspring" and args.steps_per_period is not None:
+    if args.func is cmd_converge and args.scheme == MassVariant.NSPRING.value and args.steps_per_period is not None:
         parser.error("argument --steps-per-period: only lumped and galerkin are stepped, not --scheme nspring")
     try:
         params, forcing = config_from_mapping({}) if args.config is None else load_config(args.config)

@@ -40,9 +40,9 @@ from .model import Forcing, SwimmerParams, positive_count, positive_real
 class MassVariant(Enum):
     """Mass matrix treatment; values double as the CLI scheme names."""
 
-    CONSISTENT = "galerkin"
-    TRAPEZOID = "lumped"
     NSPRING = "nspring"
+    TRAPEZOID = "lumped"
+    CONSISTENT = "galerkin"
 
 
 @dataclass(frozen=True)
@@ -52,14 +52,15 @@ class AssembledSystem:
     A and M are stored as stencils (row-0 diagonal, interior diagonal,
     off-diagonal); at n = 1 the interior entry is unread. The load is zero
     except at the driven node 0, where it is f_0(t) = Re(load_amplitude *
-    exp(i omega t)); load_amplitude is -(Lambda/2) * i omega eps, the
-    complex amplitude of -(Lambda/2) dL0/dt.
+    exp(i omega t)) at the drive frequency omega; assemble sets
+    load_amplitude to -(Lambda/2) * i omega eps, the complex amplitude of
+    -(Lambda/2) dL0/dt.
     """
 
     n: int
     stiffness: tuple[float, float, float]
     mass: tuple[float, float, float]
-    forcing: Forcing
+    omega: float
     load_amplitude: complex
 
 
@@ -83,7 +84,7 @@ def assemble(params: SwimmerParams, forcing: Forcing, variant: MassVariant) -> A
         n=params.n_springs,
         stiffness=(cond + lam * k * params.coupling, 2.0 * cond, -cond),
         mass=mass[variant],
-        forcing=forcing,
+        omega=forcing.omega,
         load_amplitude=-(lam / 2.0) * 1j * forcing.omega * forcing.eps,
     )
 
@@ -139,10 +140,9 @@ def harmonic_state(system: AssembledSystem) -> np.ndarray:
     It combines the stencils expanded into real bands; combining the scalars
     is faster, but waits on the benchmark's peak-RSS fix (ROADMAP item 1a).
     """
-    omega = system.forcing.omega
     (mass_diag, mass_off), (stiff_diag, stiff_off) = _bands(system.n, system.mass), _bands(system.n, system.stiffness)
-    diag = 1j * omega * mass_diag + stiff_diag
-    off = 1j * omega * mass_off + stiff_off
+    diag = 1j * system.omega * mass_diag + stiff_diag
+    off = 1j * system.omega * mass_off + stiff_off
     if not (np.isfinite(diag).all() and np.isfinite(off).all() and np.isfinite(system.load_amplitude)):
         raise ValueError("harmonic system must not contain infs or NaNs")
     rhs = np.zeros(diag.size, dtype=complex)
@@ -178,7 +178,7 @@ class CrankNicolson:
 
     def __init__(self, system: AssembledSystem, dt: float):
         self.dt = dt = positive_real("dt", dt)
-        self._omega = omega = system.forcing.omega
+        self._omega = omega = system.omega
         half = 0.5 * dt
         g = half * system.load_amplitude * (1.0 + complex(math.cos(omega * dt), math.sin(omega * dt)))
         self._load_abs, self._load_arg = abs(g), math.atan2(g.imag, g.real)

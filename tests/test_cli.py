@@ -1,5 +1,6 @@
 """Command-line artifacts: shapes, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -15,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 from springswim import cli
 from springswim.analytic import build_discrete_mode
 from springswim.cli import _BLOCK, _SLICE, _format, _write_csv, main
-from springswim.displacement import instantaneous_v1, stroke_displacement_discrete
+from springswim.displacement import SWEEP_AXES, instantaneous_v1, stroke_displacement_discrete
 from springswim.fem import MassVariant, assemble, harmonic_state, solve_transient
 from springswim.metrics import convergence_study, fit_rate
 from springswim.model import DEFAULTS, config_from_mapping, load_config
@@ -361,6 +362,18 @@ class TestSweep:
         assert None not in payload["displacements"]  # a failed point is written as null
         assert payload["failures"] == [None] * 3
 
+    def test_motionless_sweep_has_no_peak(self, tmp_path):
+        # at eps_tilde = 0 every displacement is 0.0, so no point is a peak; the arg-max would name the first
+        config = write_config(tmp_path, eps_tilde=0.0, n_springs=50)
+        sweep = ["sweep", "--axis", "k_omega", "--from", "1e-2", "--to", "1e2", "--points", "5", "--log"]
+        assert run([*sweep, "--config", config, "--out", tmp_path]) == 0
+        payload = json.loads((tmp_path / "sweep_k_omega.json").read_text())
+        assert payload["peak"] is None
+        assert payload["displacements"] == [0.0] * 5
+        assert payload["eps_tilde"] == 0.0 and payload["failures"] == [None] * 5
+        _, rows = read_csv(tmp_path / "sweep_k_omega.csv")
+        assert [float(value) for _, value in rows] == [0.0] * 5
+
     @pytest.mark.parametrize(
         ("axis", "start", "stop", "message"),
         [
@@ -648,6 +661,52 @@ class TestAnalytic:
         assert abs(gp * gm - 1.0) < 1e-12
         assert payload["n"] == 20
         assert payload["k_omega"] == pytest.approx(0.05960859291831286, rel=1e-12)
+
+
+class TestParserNames:
+    """The CLI's scheme and axis names are the library's; the usage lines stay as they were."""
+
+    @staticmethod
+    def choices(command, flag):
+        subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        return next(a.choices for a in subparsers.choices[command]._actions if flag in a.option_strings)
+
+    def test_choices_are_the_library_names(self):
+        schemes = [variant.value for variant in MassVariant]
+        assert self.choices("simulate", "--scheme") == ["analytic", *schemes]
+        assert self.choices("converge", "--scheme") == schemes
+        assert self.choices("sweep", "--axis") == SWEEP_AXES
+
+    @pytest.mark.parametrize(
+        ("command", "usage"),
+        [
+            (
+                "simulate",
+                "usage: springswim simulate [-h] [--config CONFIG] [--out OUT]\n"
+                "                           [--scheme {analytic,nspring,lumped,galerkin}]\n"
+                "                           [--samples SAMPLES] [--t-end T_END] [--dt DT]\n",
+            ),
+            (
+                "converge",
+                "usage: springswim converge [-h] [--config CONFIG] [--out OUT]\n"
+                "                           [--scheme {nspring,lumped,galerkin}]\n"
+                "                           [--n-list N_LIST]\n"
+                "                           [--steps-per-period STEPS_PER_PERIOD]\n",
+            ),
+            (
+                "sweep",
+                "usage: springswim sweep [-h] [--config CONFIG] [--out OUT] --axis\n"
+                "                        {eps_tilde,k_omega} --from START --to STOP --points\n"
+                "                        POINTS [--log]\n",
+            ),
+        ],
+    )
+    def test_usage_lines(self, capsys, monkeypatch, command, usage):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+        with pytest.raises(SystemExit) as excinfo:
+            run([command, "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.split("\n\n")[0] + "\n" == usage
 
 
 class TestErrorHandling:

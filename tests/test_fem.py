@@ -48,7 +48,7 @@ def bands(stencil, n):
 def load_vector(system, t):
     """The full load vector at time t: Re(load_amplitude exp(i omega t)) at node 0, zero elsewhere."""
     f = np.zeros(system.n)
-    f[0] = (system.load_amplitude * np.exp(1j * system.forcing.omega * t)).real
+    f[0] = (system.load_amplitude * np.exp(1j * system.omega * t)).real
     return f
 
 
@@ -323,7 +323,7 @@ def dense_setup(system, dt):
     interior, coupling = (minus[1, 1], minus[0, 1]) if n > 1 else (minus[0, 0], 0.0)
     d, e, info = lapack.dpttrf(np.diag(plus).copy(), np.diag(plus, 1).copy() if n > 1 else np.zeros(1))
     assert info == 0
-    omega = system.forcing.omega
+    omega = system.omega
     g = 0.5 * dt * system.load_amplitude * (1.0 + complex(math.cos(omega * dt), math.sin(omega * dt)))
     return types.SimpleNamespace(
         dt=dt, omega=omega, stencil=np.array([coupling, interior, coupling]), corner=minus[0, 0] - interior,
@@ -462,9 +462,8 @@ def scheme_orbit(system, dt):
     Put u_k = Re(U z^k), z = exp(i omega dt), into the step and divide by (z + 1) dt/2: U solves
     (i w M + A) U = F with w = (2/dt) tan(omega dt/2) and the load amplitude F unchanged.
     """
-    omega = system.forcing.omega
-    warped = dataclasses.replace(system.forcing, omega=(2.0 / dt) * math.tan(0.5 * omega * dt))
-    return np.append(harmonic_state(dataclasses.replace(system, forcing=warped)).real, 0.0)
+    warped = dataclasses.replace(system, omega=(2.0 / dt) * math.tan(0.5 * system.omega * dt))
+    return np.append(harmonic_state(warped).real, 0.0)
 
 
 def max_rel(values, reference):
@@ -505,3 +504,11 @@ class TestAssembledSystem:
         assert isinstance(system, AssembledSystem)
         with pytest.raises(dataclasses.FrozenInstanceError):
             system.mass = None
+
+    def test_fields_carry_omega_not_the_forcing(self):
+        params, forcing = default_pair(n_springs=3, omega=7.0)
+        system = assemble(params, forcing, MassVariant.NSPRING)
+        assert [field.name for field in dataclasses.fields(AssembledSystem)] == [
+            "n", "stiffness", "mass", "omega", "load_amplitude"
+        ]
+        assert system.omega == forcing.omega == 7.0

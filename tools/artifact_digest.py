@@ -37,6 +37,13 @@ COMMANDS = [
     ("sweep_k_omega", None, ["sweep", "--axis", "k_omega", "--from", "1e-3", "--to", "1e3", "--points", "25", "--log"]),
     ("sweep_eps_tilde", None, ["sweep", "--axis", "eps_tilde", "--from", "0", "--to", "0.99", "--points", "12"]),
     ("optimize", None, ["optimize"]),
+    ("simulate_lumped_two_periods", None, ["simulate", "--scheme", "lumped", "--t-end", "12.566370614359172"]),
+    # an explicit dt that divides the period into 2048 steps, sampled every 32nd
+    ("simulate_galerkin_dt", None,
+     ["simulate", "--scheme", "galerkin", "--dt", "0.0030679615757712823", "--samples", "64"]),
+    # eps_tilde = 0 moves no point: every displacement is zero and the sweep has no peak
+    ("sweep_k_omega_motionless", {"eps_tilde": 0.0, "n_springs": 50},
+     ["sweep", "--axis", "k_omega", "--from", "1e-2", "--to", "1e2", "--points", "5", "--log"]),
     # small chains with a_tilde/a1 = 1/3: the Robin term is a large share of row 0 and the coupling
     # a_tilde/(2 a1) is rounded, so a change in how either is computed shows here
     *[
