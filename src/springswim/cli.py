@@ -249,30 +249,29 @@ def cmd_converge(args, params: SwimmerParams, forcing: Forcing, out: Path) -> li
 def cmd_sweep(args, params: SwimmerParams, forcing: Forcing, out: Path) -> list[Path]:
     if args.log:
         start, stop = positive_real("--from", args.start), positive_real("--to", args.stop)
-        values = np.logspace(math.log10(start), math.log10(stop), args.points)
+        values = np.geomspace(start, stop, args.points)  # both ends exactly start and stop
     else:
         values = np.linspace(args.start, args.stop, args.points)
     table = sweep(params, forcing, args.axis, values)
-    displacements = table.displacements()
     best = table.argbest()  # on either axis: no successful point raises, before any file is written
+    displacements = [None if result is None else result.displacement for result in table.results]
     payload = {
         "axis": table.axis,
         "n": params.n_springs,
         "omega": forcing.omega,
         "params": {**asdict(params), "L": forcing.L_ref},
         "values": list(table.values),
-        "displacements": [None if math.isnan(d) else float(d) for d in displacements],
+        "displacements": displacements,
         "failures": list(table.failures),
     }
     if table.axis == "k_omega":
         payload["eps_tilde"] = forcing.eps_tilde
-        peak = float(displacements[best])  # 0.0 when no point moves (eps_tilde = 0): then there is no peak
-        payload["peak"] = {"k_omega": table.values[best], "displacement_m": peak} if peak != 0.0 else None
-    else:
-        ok = [(v, abs(d)) for v, d in zip(table.values, displacements) if v > 0 and math.isfinite(d) and d != 0.0]
+        payload["peak"] = None if best is None else {"k_omega": table.values[best], "displacement_m": displacements[best]}
+    else:  # a log-log fit: a failed point or a zero on either axis has no logarithm
+        ok = [(v, abs(d)) for v, d in zip(table.values, displacements) if v > 0 and d]
         payload["log_log_slope"] = float(np.polyfit(*map(np.log, zip(*ok)), 1)[0]) if len(ok) >= 2 else None
     csv_path, json_path = out / f"sweep_{args.axis}.csv", out / f"sweep_{args.axis}.json"
-    _write_csv({csv_path: b"parameter,displacement_m\n"}, [(np.column_stack([table.values, displacements]),)])
+    _write_csv({csv_path: b"parameter,displacement_m\n"}, [(np.column_stack([table.values, table.displacements()]),)])
     _write_json(json_path, payload)
     return [csv_path, json_path]
 
@@ -292,11 +291,9 @@ def cmd_analytic(args, params: SwimmerParams, forcing: Forcing, out: Path) -> li
     # map, unlike a generator expression, keeps no block alive while its table is written
     blocks = map(lambda block: (np.column_stack(block),), _row_blocks(samples, params.n_springs + 2))
     _write_csv({csv_path: _node_header(params)}, blocks)
-    payload = {"n": mode.n, "k_omega": mode.k_omega, "omega": mode.omega}
-    for name in ("gamma_plus", "gamma_minus", "delta", "z_d", "b_d", "alpha_d", "beta_d"):
-        z = getattr(mode, name)  # complex constants go to JSON as [real, imag]
-        payload[name] = [z.real, z.imag]
-    _write_json(json_path, payload)
+    # the mode's fields but its root s; complex constants go to JSON as [real, imag]
+    fields = asdict(mode).items()
+    _write_json(json_path, {k: [v.real, v.imag] if isinstance(v, complex) else v for k, v in fields if k != "s"})
     return [csv_path, json_path]
 
 

@@ -61,12 +61,13 @@ class SweepTable:
             [math.nan if result is None else result.displacement for result in self.results]
         )
 
-    def argbest(self) -> int:
-        """Index of the largest displacement magnitude among successful points."""
+    def argbest(self) -> int | None:
+        """Index of the largest displacement magnitude among successful points; None if none moves."""
         magnitudes = np.abs(self.displacements())
         if np.all(np.isnan(magnitudes)):
             raise ValueError("sweep produced no successful points")
-        return int(np.nanargmax(magnitudes))
+        best = int(np.nanargmax(magnitudes))
+        return best if magnitudes[best] > 0.0 else None
 
 
 @dataclass(frozen=True)

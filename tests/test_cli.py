@@ -1,6 +1,7 @@
 """Command-line artifacts: shapes, determinism, exit codes."""
 
 import argparse
+import dataclasses
 import json
 import math
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from springswim import cli
-from springswim.analytic import build_discrete_mode
+from springswim.analytic import DiscreteModeShape, build_discrete_mode
 from springswim.cli import _BLOCK, _SLICE, _format, _write_csv, main
 from springswim.displacement import SWEEP_AXES, instantaneous_v1, stroke_displacement_discrete
 from springswim.fem import MassVariant, assemble, harmonic_state, solve_transient
@@ -341,6 +342,15 @@ class TestSweep:
         # the stroke mean is exact in time: there is no quadrature setting to record
         assert "m_quad" not in payload
 
+    def test_log_grid_ends_at_the_flags(self, tmp_path):
+        # the grid's ends are --from and --to themselves, bit for bit, though neither is a power of ten
+        sweep = ["sweep", "--axis", "k_omega", "--from", "0.3", "--to", "5.1", "--points", "5", "--log"]
+        assert run([*sweep, "--out", tmp_path]) == 0
+        values = json.loads((tmp_path / "sweep_k_omega.json").read_text())["values"]
+        assert values[0] == 0.3 and values[-1] == 5.1
+        _, rows = read_csv(tmp_path / "sweep_k_omega.csv")
+        assert rows[0][0] == "0.29999999999999999"  # '%.17g' of 0.3
+
     def test_eps_sweep_slope_report(self, tmp_path):
         config = write_config(tmp_path, n_springs=120, k_tilde=6.3e-8)
         code = run(
@@ -363,7 +373,7 @@ class TestSweep:
         assert payload["failures"] == [None] * 3
 
     def test_motionless_sweep_has_no_peak(self, tmp_path):
-        # at eps_tilde = 0 every displacement is 0.0, so no point is a peak; the arg-max would name the first
+        # at eps_tilde = 0 every displacement is 0.0, so no point is a peak: SweepTable.argbest gives None
         config = write_config(tmp_path, eps_tilde=0.0, n_springs=50)
         sweep = ["sweep", "--axis", "k_omega", "--from", "1e-2", "--to", "1e2", "--points", "5", "--log"]
         assert run([*sweep, "--config", config, "--out", tmp_path]) == 0
@@ -661,6 +671,18 @@ class TestAnalytic:
         assert abs(gp * gm - 1.0) < 1e-12
         assert payload["n"] == 20
         assert payload["k_omega"] == pytest.approx(0.05960859291831286, rel=1e-12)
+
+    @pytest.mark.parametrize("overrides", [{"n_springs": 20}, {"n_springs": 300, "k_tilde": 1e21}])
+    def test_json_is_the_mode_fields(self, tmp_path, overrides):
+        # every DiscreteModeShape field but its root s, bit for bit; complex values as [real, imag]
+        config = write_config(tmp_path, **overrides)
+        assert run(["analytic", "--config", config, "--out", tmp_path]) == 0
+        payload = json.loads((tmp_path / "analytic.json").read_text())
+        assert set(payload) == {field.name for field in dataclasses.fields(DiscreteModeShape)} - {"s"}
+        mode = build_discrete_mode(*load_config(config))
+        for name, value in payload.items():
+            z = getattr(mode, name)
+            assert value == ([z.real, z.imag] if isinstance(z, complex) else z), name
 
 
 class TestParserNames:

@@ -554,10 +554,12 @@ class TestSweep:
         assert abs(best - GRID_ARGMAX_INDEX) <= 1
 
     def test_stiff_springs_on_the_asymptote(self):
-        # the drift of stiff springs falls as 1/k_omega; up to 1e30 the banded solve
-        # stays on that line (the closed-form chain mode covers 1e25 too, see test_analytic)
+        # the drift of stiff springs falls as 1/k_omega, and the banded solve stays on that line
+        # to about 1e-12 up to 1e150; from about 10^156.6 its lag part underflows and the drift
+        # is exactly 0.0. The closed-form chain mode, which the drift does not use, is finite
+        # until k_omega n^2 overflows (see test_analytic).
         params, forcing = default_pair(n_springs=300, eps_tilde=0.4)
-        values = [1e8, 1e20, 1e25, 1e30]
+        values = [1e8, 1e20, 1e25, 1e30, 1e100]
         table = sweep(params, forcing, "k_omega", values)
         assert table.failures == (None,) * len(values)
         scaled = np.array(values) * table.displacements()
@@ -567,6 +569,28 @@ class TestSweep:
         table = SweepTable(axis="k_omega", values=(), results=(), failures=())
         with pytest.raises(ValueError, match="no successful"):
             table.argbest()
+
+    @staticmethod
+    def table_of(displacements):
+        """A k_omega table at 1, 2, ...; None marks a failed point."""
+        results = tuple(None if d is None else StrokeResult(d, n=10, quadrature_points=1) for d in displacements)
+        failures = tuple("failed" if d is None else None for d in displacements)
+        return SweepTable("k_omega", tuple(map(float, range(1, len(results) + 1))), results, failures)
+
+    @pytest.mark.parametrize(
+        ("displacements", "best"),
+        [
+            ((0.0, 0.0, 0.0), None),  # nothing moves: no point is best
+            ((0.0, None, -0.0), None),
+            ((-1e-9, None, -3e-9, 2e-9), 2),  # the largest magnitude among the successful points
+        ],
+    )
+    def test_argbest_still_and_failed_points(self, displacements, best):
+        assert self.table_of(displacements).argbest() == best
+
+    def test_argbest_only_failures(self):
+        with pytest.raises(ValueError, match="no successful"):
+            self.table_of((None, None)).argbest()
 
 
 class TestWholeBox:

@@ -44,6 +44,14 @@ COMMANDS = [
     # eps_tilde = 0 moves no point: every displacement is zero and the sweep has no peak
     ("sweep_k_omega_motionless", {"eps_tilde": 0.0, "n_springs": 50},
      ["sweep", "--axis", "k_omega", "--from", "1e-2", "--to", "1e2", "--points", "5", "--log"]),
+    # a log grid whose ends, 0.3 and 5.1, are not powers of ten: it starts and ends exactly there
+    ("sweep_k_omega_log_ends", None,
+     ["sweep", "--axis", "k_omega", "--from", "0.3", "--to", "5.1", "--points", "5", "--log"]),
+    # nothing moves and the last point fails (harmonic_state rejects k_omega = 1e306): still no peak
+    ("sweep_k_omega_motionless_failing", {"eps_tilde": 0.0, "Lambda": 1.0},
+     ["sweep", "--axis", "k_omega", "--from", "1e-2", "--to", "1e306", "--points", "3", "--log"]),
+    # a stiff chain (k_omega about 5.96e27): gamma_plus is about 1 and |b_d| about 1e-33
+    ("analytic_stiff", {"n_springs": 300, "k_tilde": 1e21}, ["analytic"]),
     # small chains with a_tilde/a1 = 1/3: the Robin term is a large share of row 0 and the coupling
     # a_tilde/(2 a1) is rounded, so a change in how either is computed shows here
     *[
