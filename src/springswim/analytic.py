@@ -66,8 +66,9 @@ def build_discrete_mode(params: SwimmerParams, forcing: Forcing) -> DiscreteMode
     c = 4 sinh(s/2)^2 makes exp(+-s) the roots of gamma^2 - (2 + c) gamma + 1 = 0. With em =
     expm1(-2 n s), z_d = exp(-s) expm1(-2 (n-1) s) / em, 1 - z_d = expm1(-s) (1 + exp(-(2n-1) s)) / em
     and b_d = -(i eps/2)/(n k_omega) / ((1 - z_d) + coupling/n + c), none with cancellation.
-    s is 0 when k_omega n^2 overflows and not finite when c does; then, or when b_d overflows, a
-    ValueError names k_omega and n. The scalars are Python complex numbers: no numpy warnings.
+    s is 0 when k_omega n^2 overflows and not finite when c does; then, or when b_d or the
+    discriminant delta = c (c + 4) overflows, a ValueError names k_omega and n. The scalars are
+    Python complex numbers: no numpy warnings.
     """
     n = params.n_springs
     k_omega = k_omega_of(params, forcing)
@@ -76,8 +77,10 @@ def build_discrete_mode(params: SwimmerParams, forcing: Forcing) -> DiscreteMode
     em = complex(np.expm1(-2.0 * n * s)) or cmath.nan  # 0 only when s is; then b_d is NaN
     one_minus_z = complex(np.expm1(-s)) * (1.0 + cmath.exp(-(2 * n - 1) * s)) / em
     b_d = -0.5j * forcing.eps / (n * k_omega) / (one_minus_z + params.coupling / n + c)
-    if not (cmath.isfinite(s) and cmath.isfinite(b_d)):
-        raise ValueError(f"k_omega={k_omega!r}, n={n}: chain mode out of float range (s={s!r}, b_d={b_d!r})")
+    delta = c * (c + 4.0)
+    if not all(map(cmath.isfinite, (s, b_d, delta))):
+        message = f"chain mode out of float range (s={s!r}, b_d={b_d!r}, delta={delta!r})"
+        raise ValueError(f"k_omega={k_omega!r}, n={n}: {message}")
     return DiscreteModeShape(
         n=n,
         k_omega=k_omega,
@@ -85,7 +88,7 @@ def build_discrete_mode(params: SwimmerParams, forcing: Forcing) -> DiscreteMode
         s=s,
         gamma_plus=cmath.exp(s),
         gamma_minus=cmath.exp(-s),
-        delta=c * (c + 4.0),
+        delta=delta,
         z_d=cmath.exp(-s) * complex(np.expm1(-2.0 * (n - 1) * s)) / em,
         b_d=b_d,
         alpha_d=cmath.exp(-2.0 * n * s) * b_d / em,

@@ -1,12 +1,11 @@
 """Command-line front end writing deterministic CSV/JSON artifacts.
 
-Subcommands: simulate (stroke time series and sphere positions),
-converge (error tables with fitted slopes), sweep (displacement along a
-parameter axis), optimize (best k_omega), analytic (closed-form node
-values). Output is data only; plotting is left to external tools.
-Identical inputs give byte-identical files: floats are printed with 17
-significant digits, CSV uses '.' decimals, ',' separators and LF line
-endings.
+Subcommands: simulate (stroke time series and sphere positions), converge (error tables with
+fitted slopes), sweep (displacement along a parameter axis), optimize (best k_omega), analytic
+(closed-form node values). Each returns its files' leading bytes and CSV row blocks, and main
+writes them all, so a failed command leaves no file. Output is data only; plotting is left to
+external tools. Identical inputs give byte-identical files: floats are printed with 17
+significant digits, CSV uses '.' decimals, ',' separators and LF line endings.
 """
 
 from __future__ import annotations
@@ -137,29 +136,31 @@ def _format(block: np.ndarray):
         yield out.tobytes().translate(None, b"\0")
 
 
-def _write_csv(headers: dict[Path, bytes], blocks) -> None:
-    """Write each path's header line, then its rows: each item of blocks has one 2-D block per path.
+def _write(out: Path, files: dict[str, bytes], blocks) -> list[Path]:
+    """Write each named file under out: its leading bytes, then the rows of the CSV files, which come
+    first; each item of blocks holds one 2-D table per CSV file. The paths written are returned.
 
-    If anything fails on the way, every file is removed, so no half-written table is left.
+    If anything fails on the way, every file opened is removed, so a failed command leaves none.
     """
+    paths, handles = [out / name for name in files], []
     try:
         with contextlib.ExitStack() as stack:
-            files = [stack.enter_context(open(path, "wb")) for path in headers]
-            for fh, header in zip(files, headers.values()):
-                fh.write(header)
+            for path, head in zip(paths, files.values()):
+                handles.append(stack.enter_context(open(path, "wb")))
+                handles[-1].write(head)
             for tables in blocks:
-                for fh, table in zip(files, tables):
+                for fh, table in zip(handles, tables):
                     fh.writelines(_format(table))
     except BaseException:
-        for path in headers:
+        for path in paths[: len(handles)]:
             path.unlink(missing_ok=True)
         raise
+    return paths
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json(payload: dict) -> bytes:
+    """A JSON file's whole text; NaN and infinities are not JSON, so they raise."""
+    return (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
 def _node_header(params: SwimmerParams) -> bytes:
@@ -199,7 +200,7 @@ def _simulation_blocks(params: SwimmerParams, forcing: Forcing, blocks):
         yield np.column_stack([t, ell]), np.column_stack([t, x1, x1 - arm, tail])
 
 
-def cmd_simulate(args, params: SwimmerParams, forcing: Forcing, out: Path) -> list[Path]:
+def cmd_simulate(args, params: SwimmerParams, forcing: Forcing):
     t_end = forcing.period if args.t_end is None else args.t_end
 
     if args.scheme == "analytic":
@@ -214,11 +215,9 @@ def cmd_simulate(args, params: SwimmerParams, forcing: Forcing, out: Path) -> li
             )
         samples = CrankNicolson(system, dt).samples(np.zeros(params.n_springs), nsteps, nsteps // args.samples)
 
-    elong_path, pos_path = out / "elongations.csv", out / "positions.csv"
     pos_header = ",".join(["t"] + [f"x{j}" for j in range(1, params.n_springs + 3)]) + "\n"
-    headers = {elong_path: _node_header(params), pos_path: pos_header.encode()}
-    _write_csv(headers, _simulation_blocks(params, forcing, _row_blocks(samples, params.n_springs + 3)))
-    return [elong_path, pos_path]
+    files = {"elongations.csv": _node_header(params), "positions.csv": pos_header.encode()}
+    return files, _simulation_blocks(params, forcing, _row_blocks(samples, params.n_springs + 3))
 
 
 def _rate_payload(estimate: RateEstimate) -> dict:
@@ -226,27 +225,22 @@ def _rate_payload(estimate: RateEstimate) -> dict:
     return asdict(estimate, dict_factory=lambda items: {key: value for key, value in items if value is not None})
 
 
-def cmd_converge(args, params: SwimmerParams, forcing: Forcing, out: Path) -> list[Path]:
+def cmd_converge(args, params: SwimmerParams, forcing: Forcing):
     steps = args.steps_per_period or STEPS_PER_PERIOD  # flag not given: the stepped schemes' default
     records = convergence_study(params, forcing, MassVariant(args.scheme), args.n_list, steps_per_period=steps)
-    csv_path = out / f"convergence_{args.scheme}.csv"
+    payload = {
+        "scheme": args.scheme,
+        "n": args.n_list,
+        "steps_per_period": None if args.scheme == MassVariant.NSPRING.value else steps,
+        "l2": _rate_payload(fit_rate(records, "l2")),
+        "h1": _rate_payload(fit_rate(records, "h1")),
+    }
     table = np.array([[r.n, params.Lambda / r.n, r.l2_error, r.h1_error] for r in records])
-    _write_csv({csv_path: b"n,h,l2_error,h1_error\n"}, [(table,)])
-    json_path = out / f"convergence_{args.scheme}.json"
-    _write_json(
-        json_path,
-        {
-            "scheme": args.scheme,
-            "n": args.n_list,
-            "steps_per_period": None if args.scheme == MassVariant.NSPRING.value else steps,
-            "l2": _rate_payload(fit_rate(records, "l2")),
-            "h1": _rate_payload(fit_rate(records, "h1")),
-        },
-    )
-    return [csv_path, json_path]
+    name = f"convergence_{args.scheme}"
+    return {f"{name}.csv": b"n,h,l2_error,h1_error\n", f"{name}.json": _json(payload)}, [(table,)]
 
 
-def cmd_sweep(args, params: SwimmerParams, forcing: Forcing, out: Path) -> list[Path]:
+def cmd_sweep(args, params: SwimmerParams, forcing: Forcing):
     if args.log:
         start, stop = positive_real("--from", args.start), positive_real("--to", args.stop)
         values = np.geomspace(start, stop, args.points)  # both ends exactly start and stop
@@ -270,31 +264,24 @@ def cmd_sweep(args, params: SwimmerParams, forcing: Forcing, out: Path) -> list[
     else:  # a log-log fit: a failed point or a zero on either axis has no logarithm
         ok = [(v, abs(d)) for v, d in zip(table.values, displacements) if v > 0 and d]
         payload["log_log_slope"] = float(np.polyfit(*map(np.log, zip(*ok)), 1)[0]) if len(ok) >= 2 else None
-    csv_path, json_path = out / f"sweep_{args.axis}.csv", out / f"sweep_{args.axis}.json"
-    _write_csv({csv_path: b"parameter,displacement_m\n"}, [(np.column_stack([table.values, table.displacements()]),)])
-    _write_json(json_path, payload)
-    return [csv_path, json_path]
+    files = {f"sweep_{args.axis}.csv": b"parameter,displacement_m\n", f"sweep_{args.axis}.json": _json(payload)}
+    return files, [(np.column_stack([table.values, table.displacements()]),)]
 
 
-def cmd_optimize(args, params: SwimmerParams, forcing: Forcing, out: Path) -> list[Path]:
+def cmd_optimize(args, params: SwimmerParams, forcing: Forcing):
     result = optimize_k_omega(params, forcing, bracket=tuple(args.bracket), rel_tol=args.rel_tol)
-    path = out / "optimize.json"
     payload = asdict(result)
     payload["displacement_m"] = payload.pop("displacement")
-    _write_json(path, payload)
-    return [path]
+    return {"optimize.json": _json(payload)}, ()
 
 
-def cmd_analytic(args, params: SwimmerParams, forcing: Forcing, out: Path) -> list[Path]:
+def cmd_analytic(args, params: SwimmerParams, forcing: Forcing):
     mode, samples = _closed_form(params, forcing, forcing.period, args.samples)
-    csv_path, json_path = out / "analytic.csv", out / "analytic.json"
+    # the mode's fields but its root s; complex constants go to JSON as [real, imag]
+    payload = {k: [v.real, v.imag] if isinstance(v, complex) else v for k, v in asdict(mode).items() if k != "s"}
     # map, unlike a generator expression, keeps no block alive while its table is written
     blocks = map(lambda block: (np.column_stack(block),), _row_blocks(samples, params.n_springs + 2))
-    _write_csv({csv_path: _node_header(params)}, blocks)
-    # the mode's fields but its root s; complex constants go to JSON as [real, imag]
-    fields = asdict(mode).items()
-    _write_json(json_path, {k: [v.real, v.imag] if isinstance(v, complex) else v for k, v in fields if k != "s"})
-    return [csv_path, json_path]
+    return {"analytic.csv": _node_header(params), "analytic.json": _json(payload)}, blocks
 
 
 def _argument(check, value):
@@ -386,7 +373,7 @@ def main(argv=None) -> int:
     try:
         params, forcing = config_from_mapping({}) if args.config is None else load_config(args.config)
         args.out.mkdir(parents=True, exist_ok=True)
-        written = args.func(args, params, forcing, args.out)
+        written = _write(args.out, *args.func(args, params, forcing))
     except Exception as exc:  # single-line diagnostics, nonzero exit
         message = " ".join(str(exc).split()) or exc.__class__.__name__
         print(f"error: {message}", file=sys.stderr)

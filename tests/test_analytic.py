@@ -225,7 +225,9 @@ class TestClosedFormRange:
         # s is fine, but an arm of 1e307 m drives b_d past the largest double
         long_arm = Forcing(eps_tilde=0.99, omega=forcing.omega, L_ref=1e307)
         soft = params_for_k_omega(dataclasses.replace(base, n_springs=100000), long_arm, 1e-4)
-        cases = ((stiff, forcing), (dataclasses.replace(base, n_springs=1), fast), (soft, long_arm))
+        # k_omega ~ 6e-164 leaves s and b_d finite, but the discriminant c (c + 4) overflows
+        tiny = dataclasses.replace(base, n_springs=1, k_tilde=1e-170)
+        cases = ((stiff, forcing), (dataclasses.replace(base, n_springs=1), fast), (soft, long_arm), (tiny, forcing))
         for params, forcing in cases:
             k_omega = k_omega_of(params, forcing)
             message = f"k_omega={k_omega!r}, n={params.n_springs}: chain mode out of float range"

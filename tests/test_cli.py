@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 from springswim import cli
 from springswim.analytic import DiscreteModeShape, build_discrete_mode
-from springswim.cli import _BLOCK, _SLICE, _format, _write_csv, main
+from springswim.cli import _BLOCK, _SLICE, _format, _json, _write, main
 from springswim.displacement import SWEEP_AXES, instantaneous_v1, stroke_displacement_discrete
 from springswim.fem import MassVariant, assemble, harmonic_state, solve_transient
 from springswim.metrics import convergence_study, fit_rate
@@ -308,6 +308,14 @@ class TestConverge:
         assert payload["l2"]["slope"] == pytest.approx(2.0, abs=0.2)
         assert payload["steps_per_period"] == 4096
 
+    @pytest.mark.parametrize("scheme", [["nspring"], ["lumped", "--steps-per-period", "64"]], ids=["nspring", "lumped"])
+    def test_failed_fit_writes_no_file(self, tmp_path, capsys, scheme):
+        # eps_tilde = 0 makes every error zero, and the fit refuses them after the table is computed
+        config, out = write_config(tmp_path, eps_tilde=0.0), tmp_path / "out"
+        assert run(["converge", "--config", config, "--out", out, "--n-list", "8,16,32", "--scheme", *scheme]) == 1
+        assert capsys.readouterr().err == "error: errors must be strictly positive for a log-log fit\n"
+        assert list(out.iterdir()) == []
+
     def test_short_n_list_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run(["converge", "--out", tmp_path, "--n-list", "25,50"])
@@ -510,7 +518,7 @@ class TestCsvWriter:
         table = rng.standard_normal((3, width)) * 10.0 ** rng.integers(-300, 300, (3, width))
         table[0] = np.resize(SPECIAL_VALUES, width)
         path = tmp_path / "table.csv"
-        _write_csv({path: b"header\n"}, [(table,)])
+        _write(tmp_path, {path.name: b"header\n"}, [(table,)])
         expected = ["header"] + [percent_join(row) for row in table] + [""]
         assert path.read_text().split("\n") == expected
 
@@ -519,8 +527,20 @@ class TestCsvWriter:
         rng = np.random.default_rng(10000)
         table = np.column_stack([np.logspace(-3, 3, 10000), -rng.random(10000) * 1e-7])
         path = tmp_path / "sweep.csv"
-        _write_csv({path: b"parameter,displacement_m\n"}, [(table,)])
+        _write(tmp_path, {path.name: b"parameter,displacement_m\n"}, [(table,)])
         assert path.read_text().split("\n") == ["parameter,displacement_m"] + percent_lines(table).split("\n")
+
+    def test_failure_after_a_block_removes_every_file(self, tmp_path):
+        # a JSON file passed beside the CSV goes too: a failed command leaves no file of either kind
+        def blocks():
+            yield (np.ones((2, 3)),)
+            assert sorted(path.name for path in tmp_path.iterdir()) == ["table.csv", "table.json"]
+            raise ValueError("second block")
+
+        files = {"table.csv": b"a,b,c\n", "table.json": _json({"rows": 2})}
+        with pytest.raises(ValueError, match="^second block$"):
+            _write(tmp_path, files, blocks())
+        assert list(tmp_path.iterdir()) == []
 
     def test_powers_of_ten_and_neighbours(self):
         # every power of ten a double reaches, with its 1 and 2 ulp neighbours, both signs
@@ -672,6 +692,14 @@ class TestAnalytic:
         assert payload["n"] == 20
         assert payload["k_omega"] == pytest.approx(0.05960859291831286, rel=1e-12)
 
+    def test_overflowing_discriminant_fails_cleanly(self, tmp_path, capsys):
+        # k_omega ~ 6e-164: delta = c (c + 4) is not finite, so neither closed-form command writes a file
+        config, out = write_config(tmp_path, n_springs=1, k_tilde=1e-170), tmp_path / "out"
+        for command in (["analytic"], ["simulate"]):
+            assert run([*command, "--samples", "2", "--config", config, "--out", out]) == 1
+            assert "chain mode out of float range" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("overrides", [{"n_springs": 20}, {"n_springs": 300, "k_tilde": 1e21}])
     def test_json_is_the_mode_fields(self, tmp_path, overrides):
         # every DiscreteModeShape field but its root s, bit for bit; complex values as [real, imag]
@@ -683,6 +711,28 @@ class TestAnalytic:
         for name, value in payload.items():
             z = getattr(mode, name)
             assert value == ([z.real, z.imag] if isinstance(z, complex) else z), name
+
+
+class TestWrittenFiles:
+    """Each command prints one 'wrote' line per artifact, CSV before JSON, and writes nothing else."""
+
+    @pytest.mark.parametrize(
+        "command, names",
+        [
+            (["simulate", "--samples", "4"], ["elongations.csv", "positions.csv"]),
+            (["converge", "--n-list", "4,8,16"], ["convergence_nspring.csv", "convergence_nspring.json"]),
+            (["sweep", "--axis", "k_omega", "--from", "0.1", "--to", "1", "--points", "3"],
+             ["sweep_k_omega.csv", "sweep_k_omega.json"]),
+            (["optimize"], ["optimize.json"]),
+            (["analytic", "--samples", "4"], ["analytic.csv", "analytic.json"]),
+        ],
+        ids=["simulate", "converge", "sweep", "optimize", "analytic"],
+    )
+    def test_wrote_lines_are_the_files(self, tmp_path, capsys, command, names):
+        config, out = write_config(tmp_path, n_springs=8), tmp_path / "out"
+        assert run([*command, "--config", config, "--out", out]) == 0
+        assert capsys.readouterr().out == "".join(f"wrote {out / name}\n" for name in names)
+        assert sorted(path.name for path in out.iterdir()) == sorted(names)
 
 
 class TestParserNames:

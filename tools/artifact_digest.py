@@ -76,6 +76,10 @@ COMMANDS = [
     ("error_converge_bad_n_list", None, ["converge", "--n-list", "25,abc,50"]),
     ("error_config_unknown_key", {"stiffness": 1.0}, ["analytic"]),
     ("error_config_root_not_object", [1], ["analytic"]),
+    # every error is zero, so the rate fit fails after the table is computed: neither file is left
+    ("error_converge_motionless", {"eps_tilde": 0.0}, ["converge", "--n-list", "8,16,32"]),
+    # k_omega about 5.96e-164: s and b_d are finite, but the discriminant c (c + 4) overflows
+    ("error_analytic_delta_overflow", {"n_springs": 1, "k_tilde": 1e-170}, ["analytic", "--samples", "2"]),
 ]
 
 
