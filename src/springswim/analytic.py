@@ -3,8 +3,10 @@
 Under sinusoidal driving the tail settles onto a single complex harmonic
 mode. On the spring chain it solves a three-term recurrence with roots
 exp(+-s), s = 2 asinh(sqrt(c)/2) for c = i/(k_omega n^2), and is written
-with exp and expm1 of multiples of -s alone, so nothing cancels at any
-chain length or stiffness. In the continuous limit the profile combines
+with exp and expm1 of multiples of -s alone. The in-phase part keeps full
+precision at any chain length or stiffness; a part far below its modulus,
+such as the lag part Re b_d from k_omega ~ 1e3 up, comes from terms of
+size sqrt(c) and loses digits. In the continuous limit the profile combines
 exp(-r y) and exp(-r (2 Lambda - y)), r the complex diffusion wavenumber.
 Physical elongations are real parts of amplitude * exp(i omega t).
 """

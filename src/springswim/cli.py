@@ -2,8 +2,8 @@
 
 Subcommands: simulate (stroke time series and sphere positions), converge (error tables with
 fitted slopes), sweep (displacement along a parameter axis), optimize (best k_omega), analytic
-(closed-form node values). Each returns its files' leading bytes and CSV row blocks, and main
-writes them all, so a failed command leaves no file. Output is data only; plotting is left to
+(closed-form node values). Each returns its files' leading bytes and CSV row blocks, and one writer
+makes them all, so a failed command leaves no path. Output is data only; plotting is left to
 external tools. Identical inputs give byte-identical files: floats are printed with 17
 significant digits, CSV uses '.' decimals, ',' separators and LF line endings.
 """
@@ -16,6 +16,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -137,13 +138,14 @@ def _format(block: np.ndarray):
 
 
 def _write(out: Path, files: dict[str, bytes], blocks) -> list[Path]:
-    """Write each named file under out: its leading bytes, then the rows of the CSV files, which come
-    first; each item of blocks holds one 2-D table per CSV file. The paths written are returned.
-
-    If anything fails on the way, every file opened is removed, so a failed command leaves none.
+    """Write each named file under out, made with its missing parents: its leading bytes, then the rows of the
+    CSV files, which come first; each item of blocks holds one 2-D table per CSV file. The paths are returned.
+    If anything fails, every file opened and then every directory made, innermost first, is removed.
     """
+    made = [path for path in (out, *out.parents) if not path.exists()]  # innermost first
     paths, handles = [out / name for name in files], []
     try:
+        out.mkdir(parents=True, exist_ok=True)
         with contextlib.ExitStack() as stack:
             for path, head in zip(paths, files.values()):
                 handles.append(stack.enter_context(open(path, "wb")))
@@ -154,6 +156,9 @@ def _write(out: Path, files: dict[str, bytes], blocks) -> list[Path]:
     except BaseException:
         for path in paths[: len(handles)]:
             path.unlink(missing_ok=True)
+        for path in made:
+            with contextlib.suppress(OSError):  # not made after all, or no longer empty
+                path.rmdir()
         raise
     return paths
 
@@ -241,11 +246,10 @@ def cmd_converge(args, params: SwimmerParams, forcing: Forcing):
 
 
 def cmd_sweep(args, params: SwimmerParams, forcing: Forcing):
-    if args.log:
-        start, stop = positive_real("--from", args.start), positive_real("--to", args.stop)
-        values = np.geomspace(start, stop, args.points)  # both ends exactly start and stop
-    else:
-        values = np.linspace(args.start, args.stop, args.points)
+    for flag, end in (("--from", args.start), ("--to", args.stop)):  # numpy would space a non-finite end into NaNs
+        if not math.isfinite(positive_real(flag, end) if args.log else end):
+            raise ValueError(f"{flag} must be finite, got {end!r}")
+    values = (np.geomspace if args.log else np.linspace)(args.start, args.stop, args.points)  # ends exact
     table = sweep(params, forcing, args.axis, values)
     best = table.argbest()  # on either axis: no successful point raises, before any file is written
     displacements = [None if result is None else result.displacement for result in table.results]
@@ -310,6 +314,10 @@ def positive_float(text: str) -> float:
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose errors are single-line and machine-parsable."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)  # -5e-1, -inf: values, not options
+
     def error(self, message: str) -> None:
         self.exit(2, f"error: {message}\n")
 
@@ -372,7 +380,6 @@ def main(argv=None) -> int:
         parser.error("argument --steps-per-period: only lumped and galerkin are stepped, not --scheme nspring")
     try:
         params, forcing = config_from_mapping({}) if args.config is None else load_config(args.config)
-        args.out.mkdir(parents=True, exist_ok=True)
         written = _write(args.out, *args.func(args, params, forcing))
     except Exception as exc:  # single-line diagnostics, nonzero exit
         message = " ".join(str(exc).split()) or exc.__class__.__name__

@@ -190,6 +190,34 @@ class TestDiscreteMode:
             assert (amp * phase).real == pytest.approx(values[j - 1], rel=1e-10, abs=1e-12 * scale)
 
 
+def mpmath_mode_constants(mode, params, forcing, dps=50):
+    """b_d, z_d, alpha_d and beta_d in dps digits by build_discrete_mode's own formulas and float inputs."""
+    with mpmath.workdps(dps):
+        n, k_omega = mode.n, mpmath.mpf(mode.k_omega)
+        c = mpmath.mpc(0, 1) / (k_omega * n * n)
+        s = 2 * mpmath.asinh(mpmath.sqrt(c) / 2)
+        em = mpmath.expm1(-2 * n * s)
+        one_minus_z = mpmath.expm1(-s) * (1 + mpmath.exp(-(2 * n - 1) * s)) / em
+        b_d = -mpmath.mpc(0, 1) / 2 * mpmath.mpf(forcing.eps) / (n * k_omega)
+        b_d /= one_minus_z + mpmath.mpf(params.coupling) / n + c
+        z_d = mpmath.exp(-s) * mpmath.expm1(-2 * (n - 1) * s) / em
+        return {"b_d": b_d, "z_d": z_d, "alpha_d": mpmath.exp(-2 * n * s) * b_d / em, "beta_d": -b_d / em}
+
+
+# (n, k_omega) cells at eps_tilde = 0.7 where some part of a mode constant misses 1e-13; the worst
+# part at the time of writing: the lag parts Re b_d (up to 2.4e-8) and Im z_d (up to 6.3e-4) from
+# k_omega = 1e3 up, Im z_d at (1e5, 0.28), and at k_omega = 1e-8 the small parts Re z_d and
+# Im alpha_d (up to 2.2e-9) of constants whose phase is near a multiple of pi/2
+ITEM_18_CELLS = {
+    (1, 1e-8), (1, 1e3), (1, 1e5),
+    (2, 1e-8), (2, 1e3), (2, 1e5), (2, 1e8),
+    (50, 1e-8), (50, 1e3), (50, 1e5), (50, 1e8),
+    (2000, 1e3), (2000, 1e5), (2000, 1e8),
+    (100000, 0.28), (100000, 1e3), (100000, 1e5), (100000, 1e8),
+}
+ITEM_18 = pytest.mark.xfail(strict=True, reason="ROADMAP item 18: a part far below its constant's modulus loses digits")
+
+
 class TestClosedFormRange:
     def test_amplitudes_match_40_digit_reference(self):
         # long, stiff chains are where powers of gamma_minus lose digits (3e-8 at n = 1e5, k_omega = 1e8)
@@ -205,6 +233,29 @@ class TestClosedFormRange:
                 errors[n, k_omega] = gap / np.max(np.abs(amps))
         worst = max(errors, key=errors.get)
         assert errors[worst] <= 1e-14, (worst, errors[worst])
+
+    @pytest.mark.parametrize(
+        "n, k_omega",
+        [
+            pytest.param(n, k_omega, marks=[ITEM_18] if (n, k_omega) in ITEM_18_CELLS else [])
+            for n in (1, 2, 50, 2000, 100000)
+            for k_omega in (1e-8, 0.28, 1e3, 1e5, 1e8)
+        ],
+    )
+    def test_mode_constants_match_50_digits_part_by_part(self, n, k_omega):
+        # each part within 1e-13 of its own size, so a lag part far below the in-phase part is held to
+        # its own digits; a part that is its reference rounded to a double passes, 0 below the smallest
+        base, forcing = default_pair(eps_tilde=0.7)
+        params = params_for_k_omega(dataclasses.replace(base, n_springs=n), forcing, k_omega)
+        mode = build_discrete_mode(params, forcing)
+        misses = {}
+        for name, reference in mpmath_mode_constants(mode, params, forcing).items():
+            value = getattr(mode, name)
+            for part, got, want in (("re", value.real, reference.real), ("im", value.imag, reference.imag)):
+                error = abs(mpmath.mpf(got) - want)
+                if got != float(want) and error > 1e-13 * abs(want):
+                    misses[f"{name}.{part}"] = float(error / abs(want))
+        assert misses == {}
 
     @pytest.mark.parametrize("n", [1, 300])
     def test_stiff_chain_matches_banded_solve(self, n):

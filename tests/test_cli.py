@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -256,7 +257,7 @@ class TestStreamedTables:
         assert run(["simulate", "--config", config, "--out", out]) == 1
         assert sizes[0] > 0 and sizes[1] > sizes[0]  # the first block was written when the second failed
         assert capsys.readouterr().err == "error: unphysical state: non-positive cumulative arm length\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestConverge:
@@ -314,7 +315,7 @@ class TestConverge:
         config, out = write_config(tmp_path, eps_tilde=0.0), tmp_path / "out"
         assert run(["converge", "--config", config, "--out", out, "--n-list", "8,16,32", "--scheme", *scheme]) == 1
         assert capsys.readouterr().err == "error: errors must be strictly positive for a log-log fit\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_short_n_list_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -698,7 +699,7 @@ class TestAnalytic:
         for command in (["analytic"], ["simulate"]):
             assert run([*command, "--samples", "2", "--config", config, "--out", out]) == 1
             assert "chain mode out of float range" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("overrides", [{"n_springs": 20}, {"n_springs": 300, "k_tilde": 1e21}])
     def test_json_is_the_mode_fields(self, tmp_path, overrides):
@@ -781,6 +782,60 @@ class TestParserNames:
         assert capsys.readouterr().out.split("\n\n")[0] + "\n" == usage
 
 
+def fail_on_second_block():
+    """An instantaneous_v1 that raises on its second call, after simulate has written one block."""
+    calls = []
+
+    def velocity(params, forcing, state, t):
+        calls.append(t)
+        if len(calls) == 2:
+            raise ValueError("unphysical state: non-positive cumulative arm length")
+        return instantaneous_v1(params, forcing, state, t)
+
+    return velocity
+
+
+SWEEP, EPS_SWEEP = (["sweep", "--axis", axis, "--points", "3"] for axis in ("k_omega", "eps_tilde"))
+# the failure contract over all five subcommands: label -> (config file text or None, arguments,
+# the error line after "error: ", or None where any single line will do)
+FAILURES = {
+    "simulate-dt-inf": (None, ["simulate", "--scheme", "lumped", "--dt", "inf"], None),
+    "simulate-t-end-negative": (None, ["simulate", "--t-end", "-1e-3"],
+                                "argument --t-end: value must be positive and finite, got -0.001"),
+    "simulate-samples-zero": (None, ["simulate", "--samples", "0"], None),
+    "simulate-dt-not-dividing": (None, ["simulate", "--scheme", "nspring", "--dt", "0.3"], None),
+    "simulate-config-empty": ("", ["simulate"], None),
+    "simulate-config-malformed": ("{", ["simulate"], None),
+    "simulate-config-not-object": ("[1]", ["simulate"], None),
+    "simulate-config-eps-tilde-out-of-box": ('{"eps_tilde": 1.5}', ["simulate"], None),
+    "simulate-mid-stream": ('{"n_springs": 1000}', ["simulate"],
+                            "unphysical state: non-positive cumulative arm length"),
+    "converge-failed-fit": ('{"eps_tilde": 0.0}', ["converge", "--n-list", "8,16,32"],
+                            "errors must be strictly positive for a log-log fit"),
+    "converge-n-list-short": (None, ["converge", "--n-list", "8,16"], None),
+    "converge-steps-negative": (None, ["converge", "--scheme", "lumped", "--steps-per-period", "-4"], None),
+    "converge-config-zero-springs": ('{"n_springs": 0}', ["converge"], None),
+    "sweep-linear-to-inf": (None, [*SWEEP, "--from", "0.1", "--to", "inf"], "--to must be finite, got inf"),
+    "sweep-linear-from-nan": (None, [*SWEEP, "--from", "nan", "--to", "1"], "--from must be finite, got nan"),
+    "sweep-log-from-zero": (None, [*SWEEP, "--from", "0", "--to", "1", "--log"],
+                            "--from must be positive and finite, got 0.0"),
+    "sweep-log-to-inf": (None, [*SWEEP, "--from", "1", "--to", "inf", "--log"], "--to must be positive and finite, got inf"),
+    "sweep-negative-exponent": (None, [*EPS_SWEEP, "--from", "-5e-1", "--to", "0.5"],
+                                "eps_tilde must be a real number in [0, 1), got -0.5"),
+    "sweep-eps-tilde-out-of-box": (None, [*EPS_SWEEP, "--from", "0", "--to", "1.5"],
+                                   "eps_tilde must be a real number in [0, 1), got 1.5"),
+    "sweep-no-successful-point": ('{"Lambda": 1.0}', [*SWEEP, "--from", "1e305", "--to", "1e306", "--log"],
+                                  "sweep produced no successful points"),
+    "sweep-points-zero": (None, ["sweep", "--axis", "k_omega", "--from", "1", "--to", "2", "--points", "0"], None),
+    "optimize-bracket-inf": (None, ["optimize", "--bracket", "1e-2", "inf"], None),
+    "optimize-rel-tol-negative": (None, ["optimize", "--rel-tol", "-1e-3"], None),
+    "optimize-config-negative-arm": ('{"L": -1}', ["optimize"], None),
+    "analytic-samples-negative": (None, ["analytic", "--samples", "-1"], None),
+    "analytic-config-eps-tilde-negative": ('{"eps_tilde": -0.1}', ["analytic"], None),
+    "analytic-delta-overflow": ('{"n_springs": 1, "k_tilde": 1e-170}', ["analytic", "--samples", "2"], None),
+}
+
+
 class TestErrorHandling:
     def test_bad_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -824,6 +879,29 @@ class TestErrorHandling:
                 assert err.startswith("error: argument ")
                 assert "\n" not in err.rstrip("\n")
                 assert not out.exists()
+
+    @pytest.mark.parametrize("label", FAILURES)
+    def test_failure_prints_one_line_and_makes_no_path(self, tmp_path, capsys, monkeypatch, label):
+        # into a directory two levels below any that exists: neither level may be left behind
+        config, argv, message = FAILURES[label]
+        if config is not None:
+            (tmp_path / "config.json").write_text(config)
+            argv = [*argv, "--config", tmp_path / "config.json"]
+        if label == "simulate-mid-stream":
+            monkeypatch.setattr(cli, "instantaneous_v1", fail_on_second_block())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = run([*argv, "--out", tmp_path / "new" / "out"])
+            except SystemExit as exc:
+                code = exc.code
+        err = capsys.readouterr().err
+        assert code in (1, 2)
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        if message is not None:
+            assert err == f"error: {message}\n"
+        assert [str(w.message) for w in caught] == []
+        assert not (tmp_path / "new").exists()
 
     def test_m_quad_flag_removed(self, capsys):
         for command in (["sweep", "--axis", "k_omega", "--from", "1", "--to", "2", "--points", "3"], ["optimize"]):

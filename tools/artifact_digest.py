@@ -64,13 +64,18 @@ COMMANDS = [
             ("analytic", ["analytic"]),
         )
     ],
-    # error paths: each exits nonzero with one stderr line and should leave no file
+    # error paths: each exits nonzero with one stderr line and should leave no file or directory
     ("error_sweep_no_successful_point", {"Lambda": 1.0},
      ["sweep", "--axis", "k_omega", "--from", "1e305", "--to", "1e306", "--points", "2", "--log"]),
     ("error_sweep_eps_tilde_no_successful_point", {"Lambda": 1.0, "k_tilde": 1.7e298},
      ["sweep", "--axis", "eps_tilde", "--from", "0.1", "--to", "0.5", "--points", "3"]),
     ("error_sweep_k_tilde_underflow", None,
      ["sweep", "--axis", "k_omega", "--from", "1e-320", "--to", "1", "--points", "3", "--log"]),
+    # a linear grid with an infinite end: refused before numpy spaces it into NaN points, warning
+    ("error_sweep_linear_inf", None, ["sweep", "--axis", "k_omega", "--from", "0.1", "--to", "inf", "--points", "3"]),
+    # a negative value in exponent form reaches the range check rather than reading as an option
+    ("error_sweep_negative_exponent", None,
+     ["sweep", "--axis", "eps_tilde", "--from", "-5e-1", "--to", "0.5", "--points", "3"]),
     ("error_config_zero_springs", {"n_springs": 0}, ["optimize"]),
     ("error_simulate_dt_not_dividing", None, ["simulate", "--scheme", "nspring", "--dt", "0.3"]),
     ("error_converge_bad_n_list", None, ["converge", "--n-list", "25,abc,50"]),
