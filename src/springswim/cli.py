@@ -41,7 +41,7 @@ def _split(x):
 def _format_tables():
     """Tables of _format, built on first use, by e = floor(log10|x|) = -271..270 (|x| in
     [1e-270, 1e270), one wider each side for log10 rounding; every product in _round17 is
-    then a normal double), by 4-digit group, and by layout and significant digits."""
+    then a normal double), by sign and first digit, by 4-digit group, and by layout and significant digits."""
     exps = np.arange(-271, 271)
     hi, lo = [], []
     for e in exps.tolist():
@@ -50,24 +50,27 @@ def _format_tables():
         h_num, h_den = hi[-1].as_integer_ratio()
         lo.append((num * h_den - h_num * den) / (den * h_den))
     hi, lo = np.array(hi), np.array(lo)
-    ascii4 = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T) + 48
-    exp_ascii = ascii4[np.abs(exps)]
-    exp_ascii[:, 0] = np.where(exps < 0, 45, 43)  # '-', '+'
-    layouts = np.where((exps >= -4) & (exps < 17), exps + 4, 21 + (np.abs(exps) >= 100))
-    # A value's 32 source bytes: 0-2 '000', 3-19 its 17 digits, 20 exponent sign, 21-23
-    # exponent digits, 24 '.', 25 its sign ('-' or NUL), 26 '0', 27 'e', 28 ',', 29-31 NUL.
+    # A value's 48 template bytes in print order: 0 sign, 1-5 '0.000', 6-39 its 17 digits each
+    # followed by a '.' slot, 40-44 'e', exponent sign and 3 digits, 45 ',' or '\n', 46-47 NUL.
+    heads = np.frombuffer(b"".join(s + b"0.000%d." % d for s in (b"\0", b"-") for d in range(10)), np.uint64)
+    words = np.full((10**4, 8), 46, np.uint8)  # 'd.d.d.d.' for each 4-digit group
+    words[:, ::2] = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48
+    tails = np.frombuffer(b"".join(b"e%+04d,\0\0" % e for e in exps.tolist()), np.uint64)
+    # keep[layout, k - 1]: the template bytes '%.17g' prints of a value with k significant digits.
     # Layouts 0-20 are fixed point for exponents -4..16; 21 and 22 have 2 and 3 exponent digits.
-    gather = np.full((23, 17, 25), 29, np.intp)
-    gather[..., 24] = 28
-    for layout in range(23):
-        exp = layout - 4 if layout < 21 else 0
-        suffix = {21: [27, 20, 22, 23], 22: [27, 20, 21, 22, 23]}.get(layout, [])
-        for k in range(1, 18):  # significant digits
-            frac = [26] * (-exp - 1) + list(range(4 + max(exp, -1), 3 + k))
-            body = (list(range(3, 4 + exp)) or [26]) + ([24] + frac if frac else []) + suffix
-            gather[layout, k - 1, : len(body) + 1] = [25] + body
-    words = ascii4.view(np.uint32).ravel(), exp_ascii.view(np.uint32).ravel()
-    return hi, lo, *_split(hi), *words, layouts * 17 - 1, gather.reshape(-1, 25)
+    keep = np.zeros((23, 17, 48), bool)
+    k = np.arange(1, 18)
+    for layout, rows in enumerate(keep):
+        exp = layout - 4 if layout < 21 else 0  # an exponent form places the point as exponent 0 does
+        rows[:, [0, 45]] = True  # the sign slot (NUL when positive) and the separator
+        rows[:, 1 : 2 - min(exp, 0)] = exp < 0  # below 1: '0.' and -exp - 1 zeros ahead of the first digit
+        rows[:, 6:40:2] = np.arange(17) < np.maximum(k, exp + 1)[:, None]  # integer digits, no trailing zero
+        rows[:, 7 + 2 * max(exp, 0)] = (exp >= 0) & (k > exp + 1)  # the point, where a digit follows it
+        rows[:, [40, 41, 43, 44]] = layout >= 21  # 'e', the exponent's sign and its last two digits
+        rows[:, 42] = layout == 22  # its hundreds digit
+    layouts = np.where((exps >= -4) & (exps < 17), exps + 4, 21 + (np.abs(exps) >= 100))
+    keep = (keep.view(np.uint8) * 255).view(np.uint64).reshape(-1, 6)
+    return hi, lo, *_split(hi), heads, words.view(np.uint64).ravel(), tails, layouts * 17 - 1, keep
 
 
 def _round17(a, e):
@@ -90,7 +93,7 @@ def _round17(a, e):
     return q, (np.abs(frac - 0.5) > 1e-9) & (whole >= 10**16) & (q < 10**17)
 
 
-_SLICE = 2048  # values per formatting pass; a pass holds about 330 bytes of temporaries a value
+_SLICE = 8192  # values per formatting pass; a pass holds about 230 bytes of temporaries a value
 _BLOCK = 32768  # values per block of rows that simulate and analytic compute and write at once
 
 
@@ -102,14 +105,13 @@ def _format(block: np.ndarray):
     Any other value (0, -0, inf, nan, |x| outside [1e-270, 1e270), near-ties, a wrong e) is
     printed by Python's '%.17g' in its own slot.
     """
-    words, exp_words, first_row, gather = _format_tables()[4:]
+    heads, words, tails, first_row, keep = _format_tables()[4:]
     rows, width = np.shape(block)
     if width == 0:
         yield b"\n" * rows
     flat = np.asarray(block, dtype=float).ravel()
     for start in range(0, flat.size, _SLICE):
         x = flat[start : start + _SLICE]
-        n = len(x)
         a = np.abs(x)
         bad = ~((a >= 1e-270) & (a < 1e270))
         a[bad] = 1.0  # log10 and the int64 casts see only positive finite values
@@ -117,24 +119,19 @@ def _format(block: np.ndarray):
         q, certified = _round17(a, e)
         bad |= ~certified
         q[bad] = 10**16  # keeps the digit groups of the values printed by Python in range
-        groups = np.empty((n, 5), np.intp)
+        text = np.empty((len(x), 6), np.uint64)  # each value's template, 8 bytes a word
         for j in range(4, 0, -1):
-            q, groups[:, j] = np.divmod(q, 10**4)
-        groups[:, 0] = q
-        src = np.empty((n, 8), np.uint32)
-        src[:, :5] = words.take(groups)
-        src[:, 5] = exp_words.take(e)
-        src[:, 6:] = np.frombuffer(b".-0e,\0\0\0", np.uint32)
-        src.view(np.uint8)[:, 25] *= x < 0
-        src.view(np.uint8)[(width - 1 - start) % width :: width, 28] = 10  # '\n' ends a row
-        k = 17 - np.argmax(src.view(np.uint8)[:, 19:2:-1] != 48, axis=1)  # significant digits
-        index = gather.take(first_row.take(e) + k, axis=0)
-        index += np.arange(0, 32 * n, 32)[:, None]
-        out = src.view(np.uint8).ravel().take(index)
-        del index
+            q, group = np.divmod(q, 10**4)
+            text[:, j] = words.take(group)
+        text[:, 0] = heads.take(q + 10 * (x < 0))
+        text[:, 5] = tails.take(e)
+        chars = text.view(np.uint8)
+        chars[(width - 1 - start) % width :: width, 45] = 10  # '\n' ends a row
+        k = 17 - np.argmax(chars[:, 38:5:-2] != 48, axis=1)  # significant digits
+        text &= keep.take(first_row.take(e) + k, axis=0)
         bad = np.flatnonzero(bad)
-        out[bad, :24] = np.array(["%.17g" % v for v in x[bad].tolist()], "S24").view(np.uint8).reshape(-1, 24)
-        yield out.tobytes().translate(None, b"\0")
+        chars[bad, :45] = np.array(["%.17g" % v for v in x[bad].tolist()], "S45").view(np.uint8).reshape(-1, 45)
+        yield text.tobytes().translate(None, b"\0")
 
 
 def _write(out: Path, files: dict[str, bytes], blocks) -> list[Path]:
@@ -249,6 +246,8 @@ def cmd_sweep(args, params: SwimmerParams, forcing: Forcing):
     for flag, end in (("--from", args.start), ("--to", args.stop)):  # numpy would space a non-finite end into NaNs
         if not math.isfinite(positive_real(flag, end) if args.log else end):
             raise ValueError(f"{flag} must be finite, got {end!r}")
+    if not math.isfinite(args.stop - args.start):  # nor a span past the largest double: numpy warns of overflow
+        raise ValueError(f"--from {args.start!r} to --to {args.stop!r} spans more than the largest double")
     values = (np.geomspace if args.log else np.linspace)(args.start, args.stop, args.points)  # ends exact
     table = sweep(params, forcing, args.axis, values)
     best = table.argbest()  # on either axis: no successful point raises, before any file is written

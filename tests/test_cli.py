@@ -558,13 +558,14 @@ class TestCsvWriter:
         wide = (rng.integers(2**52, 2**53, 20000)[:, None] * 2.0 ** np.arange(3, 6)).ravel()
         assert_formats_like_percent(np.concatenate([ties, -ties, wide]), (None, 1, 7, 2001, _SLICE + 1))
 
-    def test_every_gather_row(self):
-        # each layout (fixed point at exponents -4..16, 2- and 3-digit exponents of both signs)
-        # with 1..17 significant digits and both signs, all through the numpy path, not Python's
+    def test_every_keep_row(self):
+        # every row of the keep table: each layout (fixed point at exponents -4..16, 2- and 3-digit
+        # exponents of both signs) with 1..17 significant digits and both signs, all through the
+        # numpy path, not Python's
         exps = [*range(-4, 17), -5, -42, -99, 17, 42, 99, -100, -270, 100, 269]
         values = [certified_with_digits(exp, k) for exp in exps for k in range(1, 18)]
         values = np.array([x for x in values if x is not None])
-        first_row = cli._format_tables()[6]
+        first_row = cli._format_tables()[-2]
         digits = [len(("%.16e" % x).split("e")[0].replace(".", "").rstrip("0")) for x in values]
         rows = first_row[np.floor(np.log10(values)).astype(np.intp) + 271] + digits
         assert sorted(set(rows.tolist())) == list(range(23 * 17))
@@ -817,6 +818,10 @@ FAILURES = {
     "converge-config-zero-springs": ('{"n_springs": 0}', ["converge"], None),
     "sweep-linear-to-inf": (None, [*SWEEP, "--from", "0.1", "--to", "inf"], "--to must be finite, got inf"),
     "sweep-linear-from-nan": (None, [*SWEEP, "--from", "nan", "--to", "1"], "--from must be finite, got nan"),
+    "sweep-linear-span-overflow": (None, [*SWEEP, "--from", "-1e308", "--to", "1e308"],
+                                   "--from -1e+308 to --to 1e+308 spans more than the largest double"),
+    "sweep-eps-tilde-span-overflow": (None, [*EPS_SWEEP, "--from", "1e308", "--to", "-1e308"],
+                                      "--from 1e+308 to --to -1e+308 spans more than the largest double"),
     "sweep-log-from-zero": (None, [*SWEEP, "--from", "0", "--to", "1", "--log"],
                             "--from must be positive and finite, got 0.0"),
     "sweep-log-to-inf": (None, [*SWEEP, "--from", "1", "--to", "inf", "--log"], "--to must be positive and finite, got inf"),

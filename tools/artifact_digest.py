@@ -50,6 +50,8 @@ COMMANDS = [
     # nothing moves and the last point fails (harmonic_state rejects k_omega = 1e306): still no peak
     ("sweep_k_omega_motionless_failing", {"eps_tilde": 0.0, "Lambda": 1.0},
      ["sweep", "--axis", "k_omega", "--from", "1e-2", "--to", "1e306", "--points", "3", "--log"]),
+    # rows of 20002 values, each spanning several formatting slices of cli._SLICE values
+    ("analytic_wide_rows", {"n_springs": 20000}, ["analytic", "--samples", "4"]),
     # a stiff chain (k_omega about 5.96e27): gamma_plus is about 1 and |b_d| about 1e-33
     ("analytic_stiff", {"n_springs": 300, "k_tilde": 1e21}, ["analytic"]),
     # small chains with a_tilde/a1 = 1/3: the Robin term is a large share of row 0 and the coupling
@@ -73,6 +75,9 @@ COMMANDS = [
      ["sweep", "--axis", "k_omega", "--from", "1e-320", "--to", "1", "--points", "3", "--log"]),
     # a linear grid with an infinite end: refused before numpy spaces it into NaN points, warning
     ("error_sweep_linear_inf", None, ["sweep", "--axis", "k_omega", "--from", "0.1", "--to", "inf", "--points", "3"]),
+    # finite ends whose span overflows: refused before numpy spaces them, warning, into NaN points
+    ("error_sweep_linear_span_overflow", None,
+     ["sweep", "--axis", "k_omega", "--from", "-1e308", "--to", "1e308", "--points", "3"]),
     # a negative value in exponent form reaches the range check rather than reading as an option
     ("error_sweep_negative_exponent", None,
      ["sweep", "--axis", "eps_tilde", "--from", "-5e-1", "--to", "0.5", "--points", "3"]),
