@@ -377,9 +377,10 @@ def main(argv=None) -> int:
         parser.error("argument --dt: only the stepped schemes take a time step, not --scheme analytic")
     if args.func is cmd_converge and args.scheme == MassVariant.NSPRING.value and args.steps_per_period is not None:
         parser.error("argument --steps-per-period: only lumped and galerkin are stepped, not --scheme nspring")
-    try:
-        params, forcing = config_from_mapping({}) if args.config is None else load_config(args.config)
-        written = _write(args.out, *args.func(args, params, forcing))
+    try:  # an overflow, division by zero or invalid operation raises FloatingPointError; underflow is legitimate
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            params, forcing = config_from_mapping({}) if args.config is None else load_config(args.config)
+            written = _write(args.out, *args.func(args, params, forcing))
     except Exception as exc:  # single-line diagnostics, nonzero exit
         message = " ".join(str(exc).split()) or exc.__class__.__name__
         print(f"error: {message}", file=sys.stderr)
@@ -387,7 +388,3 @@ def main(argv=None) -> int:
     for path in written:
         print(f"wrote {path}")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

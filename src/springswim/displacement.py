@@ -116,15 +116,16 @@ def instantaneous_v1(params: SwimmerParams, forcing: Forcing, state: np.ndarray,
 def _period_mean(e, b, d):
     """Period mean of Re(e exp(iwt)) / (d + Re(b exp(iwt))), elementwise.
 
-    It is -Re(e conj(b)) / (s (s + d)), s = sqrt(d^2 - |b|^2): exactly 0 at b = 0.
-    |b| < d everywhere is the condition that every denominator stays positive
-    over the whole period; anything else is rejected.
+    It is -Re(e conj(q)) / (d s (s + 1)) on the ratio q = b/d, s = sqrt(1 - |q|^2): exactly 0
+    at b = 0, and no length is squared, so it holds at any arm length. |q| < 1 everywhere is the
+    condition that every denominator stays positive over the whole period; anything else is rejected.
     """
-    swing = np.abs(b)
-    if not np.all(swing < d):
+    q = b * (1.0 / d)
+    swing = np.abs(q)
+    if not np.all(swing < 1.0):
         raise ValueError("unphysical state: non-positive cumulative arm length")
-    s = np.sqrt((d - swing) * (d + swing))
-    return -np.real(e * np.conj(b)) / (s * (s + d))
+    s = np.sqrt((1.0 - swing) * (1.0 + swing))
+    return -np.real(e * np.conj(q)) / (d * s * (s + 1.0))
 
 
 def _drift(params: SwimmerParams, forcing: Forcing, head_amp, tail) -> StrokeResult:

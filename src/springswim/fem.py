@@ -181,12 +181,15 @@ class CrankNicolson:
         self._omega = omega = system.omega
         half = 0.5 * dt
         g = half * system.load_amplitude * (1.0 + complex(math.cos(omega * dt), math.sin(omega * dt)))
-        self._load_abs, self._load_arg = abs(g), math.atan2(g.imag, g.real)
         minus = [m - half * a for m, a in zip(system.mass, system.stiffness)]
+        plus = [m + half * a for m, a in zip(system.mass, system.stiffness)]
+        if not np.isfinite([*minus, *plus, g]).all():  # an inf or NaN in M, A or the load reaches these
+            raise ValueError("Crank-Nicolson system must not contain infs or NaNs")
+        self._load_abs, self._load_arg = abs(g), math.atan2(g.imag, g.real)
         interior = minus[1] if system.n > 1 else minus[0]  # a lone node has only its row-0 entry
         self._stencil = np.array([minus[2], interior, minus[2]])
         self._corner = minus[0] - interior
-        plus_diag, plus_off = _bands(system.n, [m + half * a for m, a in zip(system.mass, system.stiffness)])
+        plus_diag, plus_off = _bands(system.n, plus)
         # the LAPACK wrappers reject an empty off-diagonal, so n == 1 passes an unread zero
         lapack = _lapack()
         self._d, self._e, info = lapack.dpttrf(plus_diag, plus_off if plus_off.size else np.zeros(1))

@@ -2,12 +2,15 @@
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
+import random
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -838,6 +841,21 @@ FAILURES = {
     "analytic-samples-negative": (None, ["analytic", "--samples", "-1"], None),
     "analytic-config-eps-tilde-negative": ('{"eps_tilde": -0.1}', ["analytic"], None),
     "analytic-delta-overflow": ('{"n_springs": 1, "k_tilde": 1e-170}', ["analytic", "--samples", "2"], None),
+    # numeric blow-ups: numpy's own words under the CLI's float policy, or the Crank-Nicolson guard where
+    # the stiffness stencil overflows in Python floats, (inf, inf, -inf), which no numpy flag sees
+    "simulate-velocity-invalid": (
+        '{"a_tilde": 7.208166483600289e+224, "a1": 9.406300878363314e+50, "Lambda": 761409092.1376953, '
+        '"L": 6.897820557790091e+275, "k_tilde": 4.4336706824525126e+63, "mu": 6.605892088843597e-290, '
+        '"n_springs": 2, "eps_tilde": 0.0}',
+        ["simulate", "--samples", "4"], "invalid value encountered in multiply"),
+    "simulate-lumped-stiffness-overflow": (
+        '{"Lambda": 3.263154194182222e+182, "L": 2.4786994078256837e+67, "k_tilde": 1.6393304886730294e-148, '
+        '"omega": 9.96544660707212e-178, "n_springs": 1, "eps_tilde": 0.7}',
+        ["simulate", "--scheme", "lumped", "--samples", "8"], "Crank-Nicolson system must not contain infs or NaNs"),
+    "converge-norm-overflow": (
+        '{"a1": 1.95983915425917e+30, "L": 5.200198134116831e+60, "mu": 3.248851748672497e+269, '
+        '"omega": 1.396156436588351e-25, "n_springs": 300, "eps_tilde": 0.7}',
+        ["converge", "--n-list", "8,16,32"], "overflow encountered in multiply"),
 }
 
 
@@ -907,6 +925,44 @@ class TestErrorHandling:
             assert err == f"error: {message}\n"
         assert [str(w.message) for w in caught] == []
         assert not (tmp_path / "new").exists()
+
+    def test_no_blow_up_escapes_the_contract(self, tmp_path, capsys):
+        # valid configs with lengths, radii, stiffness, viscosity and frequency anywhere in the float range:
+        # no RuntimeWarning reaches the user, a failure is one error line and no path, and a success
+        # writes no nan, except the NaN that marks a failed point of a sweep
+        rng = random.Random(2)
+        commands = [
+            ["simulate", "--samples", "8"],
+            ["simulate", "--scheme", "lumped", "--samples", "8"],
+            ["analytic", "--samples", "4"],
+            ["converge", "--n-list", "8,16,32"],
+            ["sweep", "--axis", "k_omega", "--from", "1e-3", "--to", "1e3", "--points", "4", "--log"],
+            ["sweep", "--axis", "eps_tilde", "--from", "0.1", "--to", "0.9", "--points", "3"],
+            ["optimize"],
+        ]
+        violations = []
+        for i in range(40):
+            config = {key: 10 ** rng.uniform(-300, 300)
+                      for key in ("a_tilde", "a1", "Lambda", "L", "k_tilde", "mu", "omega") if rng.random() < 0.5}
+            config["n_springs"] = rng.choice([1, 2, 5, 50, 300])
+            config["eps_tilde"] = rng.choice([0.0, 0.3, 0.7, 0.99, 0.999])
+            path = tmp_path / f"config{i}.json"
+            path.write_text(json.dumps(config))
+            for j, argv in enumerate(commands):
+                out = tmp_path / f"out{i}_{j}"
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code = run([*argv, "--config", path, "--out", out])
+                err = capsys.readouterr().err
+                case = f"{argv[0]} {config}"
+                violations += [f"{case}: {w.message}" for w in caught if issubclass(w.category, RuntimeWarning)]
+                if code != 0:
+                    if not (err.startswith("error: ") and err.count("\n") == 1) or out.exists():
+                        violations.append(f"{case}: exit {code}, {err!r}, out left: {out.exists()}")
+                else:
+                    violations += [f"{case}: nan in {f.name}" for f in out.iterdir()
+                                   if not f.name.startswith("sweep_") and "nan" in f.read_text()]
+        assert violations == []
 
     def test_m_quad_flag_removed(self, capsys):
         for command in (["sweep", "--axis", "k_omega", "--from", "1", "--to", "2", "--points", "3"], ["optimize"]):
@@ -1009,6 +1065,23 @@ class TestConsoleEntry:
             [sys.executable, "-c", IMPORT_ORDER, order], capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
+
+    def test_console_script_is_the_module_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+        assert pyproject["project"]["scripts"] == {"springswim": "springswim.__main__:main"}
+
+    def test_entry_freezes_the_heap_before_the_cli_runs(self, monkeypatch):
+        from springswim import __main__ as entry
+
+        frozen = []
+        monkeypatch.setattr(cli, "main", lambda: frozen.append(gc.get_freeze_count()) or 7)
+        gc.unfreeze()
+        try:
+            assert entry.main() == 7
+        finally:
+            gc.unfreeze()
+        assert len(frozen) == 1 and frozen[0] > 0
 
     def test_module_invocation(self, tmp_path):
         config = write_config(tmp_path, n_springs=6)

@@ -6,6 +6,7 @@ import functools
 import math
 import signal
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -682,6 +683,20 @@ class TestInvariances:
         scaled_forcing = dataclasses.replace(forcing, omega=omega_scale * forcing.omega)
         want = self.drift(params, forcing, k_omega)
         self.assert_close(self.drift(scaled_params, scaled_forcing, k_omega), want, n, eps_tilde)
+
+
+@pytest.mark.parametrize("kernel", [stroke_displacement_discrete, stroke_displacement_continuous])
+def test_drift_holds_at_any_arm_length(kernel):
+    # the arm length is squared nowhere: from 1e154 m up and 1e-154 m down its square would leave the float range
+    def drift(arm):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return kernel(*default_pair(L=arm)).displacement
+
+    for arms, reference in (((1e154, 1e155, 1e300), 1e100), ((1e-200, 1e-300), 1e-100)):
+        want = drift(reference)
+        for arm in arms:
+            assert drift(arm) == pytest.approx(want, rel=1e-12, abs=0.0), arm
 
 
 class TestOptimize:

@@ -54,6 +54,9 @@ COMMANDS = [
     ("analytic_wide_rows", {"n_springs": 20000}, ["analytic", "--samples", "4"]),
     # a stiff chain (k_omega about 5.96e27): gamma_plus is about 1 and |b_d| about 1e-33
     ("analytic_stiff", {"n_springs": 300, "k_tilde": 1e21}, ["analytic"]),
+    # an arm length whose square overflows: the drift is the one at any other large arm length
+    ("sweep_eps_tilde_arm_1e155", {"L": 1e155},
+     ["sweep", "--axis", "eps_tilde", "--from", "0.1", "--to", "0.5", "--points", "2"]),
     # small chains with a_tilde/a1 = 1/3: the Robin term is a large share of row 0 and the coupling
     # a_tilde/(2 a1) is rounded, so a change in how either is computed shows here
     *[
@@ -90,6 +93,21 @@ COMMANDS = [
     ("error_converge_motionless", {"eps_tilde": 0.0}, ["converge", "--n-list", "8,16,32"]),
     # k_omega about 5.96e-164: s and b_d are finite, but the discriminant c (c + 4) overflows
     ("error_analytic_delta_overflow", {"n_springs": 1, "k_tilde": 1e-170}, ["analytic", "--samples", "2"]),
+    # numeric blow-ups fail with one line: an invalid product in the head velocity, a stiffness stencil that
+    # overflows in Python floats (refused by Crank-Nicolson), and an error norm whose square overflows
+    ("error_simulate_velocity_invalid",
+     {"a_tilde": 7.208166483600289e+224, "a1": 9.406300878363314e+50, "Lambda": 761409092.1376953,
+      "L": 6.897820557790091e+275, "k_tilde": 4.4336706824525126e+63, "mu": 6.605892088843597e-290,
+      "n_springs": 2, "eps_tilde": 0.0},
+     ["simulate", "--samples", "4"]),
+    ("error_simulate_lumped_stiffness_overflow",
+     {"Lambda": 3.263154194182222e+182, "L": 2.4786994078256837e+67, "k_tilde": 1.6393304886730294e-148,
+      "omega": 9.96544660707212e-178, "n_springs": 1, "eps_tilde": 0.7},
+     ["simulate", "--scheme", "lumped", "--samples", "8"]),
+    ("error_converge_norm_overflow",
+     {"a1": 1.95983915425917e+30, "L": 5.200198134116831e+60, "mu": 3.248851748672497e+269,
+      "omega": 1.396156436588351e-25, "n_springs": 300, "eps_tilde": 0.7},
+     ["converge", "--n-list", "8,16,32"]),
 ]
 
 
