@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,21 +136,18 @@ class ContinuousModeShape:
 def build_continuous_mode(params: SwimmerParams, forcing: Forcing) -> ContinuousModeShape:
     """Solve i*lbar = Lambda^2 k_omega lbar'' with driven (Robin) and pinned ends.
 
-    r = (1+i)/(Lambda*sqrt(2 k_omega)) so that r^2 = i/(Lambda^2 k_omega);
-    the profile form pins the far end, and the Robin condition at y = 0,
-    written with m = expm1(-2 r Lambda), fixes the amplitude b.
+    r Lambda = (1+i)/sqrt(2 k_omega) comes first, so r^2 = i/(Lambda^2 k_omega). With m = expm1(-2 r Lambda)
+    the Robin condition at y = 0 gives b = i eps/(2 k_omega (coupling m - r Lambda (2 + m))), and Lambda enters
+    only through r = (r Lambda)/Lambda, in Python complex scalars: no numpy warnings. A ValueError names k_omega
+    and Lambda when b is not finite or r overflows or falls below the normal range (digits lost, b/r by 0j).
     """
     k_omega = k_omega_of(params, forcing)
     lam = params.Lambda
-    r = (1.0 + 1j) / (lam * np.sqrt(2.0 * k_omega))
-    m = np.expm1(-2.0 * r * lam)
-    denom = 2.0 * k_omega * (params.coupling * m - lam * r * (2.0 + m))
-    if not np.isfinite(denom) or denom == 0.0:
-        raise ValueError("profile normalization degenerate; k_omega outside the usable range")
-    return ContinuousModeShape(
-        length=lam,
-        k_omega=k_omega,
-        omega=forcing.omega,
-        r=complex(r),
-        b=complex(1j * forcing.eps / denom),
-    )
+    r_lam = (1.0 + 1j) / math.sqrt(2.0 * k_omega)
+    m = complex(np.expm1(-2.0 * r_lam))
+    b = 1j * forcing.eps / (2.0 * k_omega * (params.coupling * m - r_lam * (2.0 + m)))
+    r = r_lam / lam  # r.real == r.imag > 0
+    if not (cmath.isfinite(b) and np.finfo(float).tiny <= r.real < math.inf):
+        message = f"continuous mode out of float range (r={r!r}, b={b!r})"
+        raise ValueError(f"k_omega={k_omega!r}, Lambda={lam!r}: {message}")
+    return ContinuousModeShape(length=lam, k_omega=k_omega, omega=forcing.omega, r=r, b=b)

@@ -51,15 +51,17 @@ class RateEstimate:
 
 
 def l2_norm(u: np.ndarray, h: float) -> float:
-    """Exact L2 norm of the piecewise-linear interpolant of node values u at spacing h."""
-    left, right = u[:-1], u[1:]
-    return math.sqrt((h / 3.0) * float(np.sum(left * left + left * right + right * right)))
+    """Exact L2 norm of the piecewise-linear interpolant of node values u at spacing h; squares u/max|u|."""
+    scale = float(np.max(np.abs(u), initial=0.0)) or 1.0
+    left, right = u[:-1] / scale, u[1:] / scale
+    return scale * math.sqrt((h / 3.0) * float(np.sum(left * left + left * right + right * right)))
 
 
 def h1_seminorm(u: np.ndarray, h: float) -> float:
-    """Exact H1 seminorm; the derivative is piecewise constant."""
-    du = np.diff(u)
-    return math.sqrt(float(np.sum(du * du)) / h)
+    """Exact H1 seminorm; the derivative is piecewise constant. Squares differences of u/max|u|."""
+    scale = float(np.max(np.abs(u), initial=0.0)) or 1.0
+    du = np.diff(u / scale)
+    return scale * math.sqrt(float(np.sum(du * du)) / h)
 
 
 def error_vs_analytic(values: np.ndarray, mode: ContinuousModeShape, t: float) -> ErrorRecord:

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -394,6 +395,30 @@ class TestContinuousMode:
             retuned = params_for_k_omega(params, forcing, k_omega)
             mode = build_continuous_mode(retuned, forcing)
             assert abs(mode.profile(params.Lambda / 2.0)) < abs(mode.profile(0.0))
+
+    def test_out_of_float_range_raises(self):
+        base, forcing = default_pair()
+        # Lambda sqrt(2 k_omega) underflows, so r = (r Lambda)/Lambda overflows
+        short = config_from_mapping({"a_tilde": 4.454642171725803e+298, "a1": 1.1503396383100242e-50,
+                                     "Lambda": 4.893436525904257e-249, "omega": 6.753232776291005e-123,
+                                     "n_springs": 2, "eps_tilde": 0.7})
+        # r is fine, but the coupling a_tilde/(2 a1) overflows and b is NaN
+        coupled = (dataclasses.replace(base, a1=1e-320), forcing)
+        # r is fine, but an arm of 1e307 m at k_omega = 1e-4 drives b past the largest double
+        long_arm = Forcing(eps_tilde=0.99, omega=forcing.omega, L_ref=1e307)
+        soft = (params_for_k_omega(base, long_arm, 1e-4), long_arm)
+        # Lambda sqrt(2 k_omega) ~ 1.4e325 overflows, so r underflows to 0 and b/r would divide by zero
+        wide = (params_for_k_omega(dataclasses.replace(base, Lambda=1e300), forcing, 1e50), forcing)
+        # Lambda sqrt(2 k_omega) ~ 1.4e310, so r is subnormal and has lost its digits
+        subnormal = (params_for_k_omega(dataclasses.replace(base, Lambda=1e285), forcing, 1e50), forcing)
+        for params, forcing in (short, coupled, soft, wide, subnormal):
+            k_omega = k_omega_of(params, forcing)
+            message = f"k_omega={k_omega!r}, Lambda={params.Lambda!r}: continuous mode out of float range"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(ValueError, match="^" + re.escape(message)):
+                    build_continuous_mode(params, forcing)
+            assert [str(w.message) for w in caught] == []
 
 
 class TestDiscreteContinuousConsistency:

@@ -320,6 +320,20 @@ class TestConverge:
         assert capsys.readouterr().err == "error: errors must be strictly positive for a log-log fit\n"
         assert not out.exists()
 
+    def test_norm_past_square_range(self, tmp_path, capsys):
+        # errors near 1e182 at N = 8, at k_omega about 1.2e-249: their squares overflow, their norms do not
+        config = tmp_path / "config.json"
+        config.write_text('{"a1": 1.95983915425917e+30, "L": 5.200198134116831e+60, "mu": 3.248851748672497e+269, '
+                          '"omega": 1.396156436588351e-25, "n_springs": 300, "eps_tilde": 0.7}')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["converge", "--config", config, "--out", tmp_path, "--n-list", "8,16,32"]) == 0
+        assert [str(w.message) for w in caught] == [] and capsys.readouterr().err == ""
+        _, rows = read_csv(tmp_path / "convergence_nspring.csv")
+        values = np.array(rows, dtype=float)
+        assert values[:, 0].tolist() == [8, 16, 32] and np.all(np.isfinite(values)) and np.all(values > 0.0)
+        assert values[0, 2] == pytest.approx(1.5363135553030682e182, rel=1e-12)
+
     def test_short_n_list_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run(["converge", "--out", tmp_path, "--n-list", "25,50"])
@@ -852,10 +866,13 @@ FAILURES = {
         '{"Lambda": 3.263154194182222e+182, "L": 2.4786994078256837e+67, "k_tilde": 1.6393304886730294e-148, '
         '"omega": 9.96544660707212e-178, "n_springs": 1, "eps_tilde": 0.7}',
         ["simulate", "--scheme", "lumped", "--samples", "8"], "Crank-Nicolson system must not contain infs or NaNs"),
-    "converge-norm-overflow": (
-        '{"a1": 1.95983915425917e+30, "L": 5.200198134116831e+60, "mu": 3.248851748672497e+269, '
-        '"omega": 1.396156436588351e-25, "n_springs": 300, "eps_tilde": 0.7}',
-        ["converge", "--n-list", "8,16,32"], "overflow encountered in multiply"),
+    # Lambda sqrt(2 k_omega) underflows, so the continuum reference's r = (r Lambda)/Lambda overflows
+    "converge-boundary-layer-underflow": (
+        '{"a_tilde": 4.454642171725803e+298, "a1": 1.1503396383100242e-50, "Lambda": 4.893436525904257e-249, '
+        '"omega": 6.753232776291005e-123, "n_springs": 2, "eps_tilde": 0.7}',
+        ["converge", "--n-list", "8,16,32"],
+        "k_omega=1.9814555145574e-183, Lambda=4.893436525904257e-249: continuous mode out of float range "
+        "(r=(inf+infj), b=(nan+nanj))"),
 }
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,17 @@ class TestNorms:
         slopes = (np.interp(mids + delta, nodes, u) - np.interp(mids - delta, nodes, u)) / (2.0 * delta)
         expected = math.sqrt(float(np.sum(slopes**2) * h))
         assert h1_seminorm(u, h) == pytest.approx(expected, rel=1e-6)
+
+    def test_norms_hold_past_the_square_range(self):
+        # squares of values beyond about 1e154 overflow and below about 1e-154 underflow; the norms do neither
+        u = random_field(16, np.random.default_rng(61))
+        h = 1.0 / 16
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for factor in (1e200, 1e-200):
+                assert l2_norm(factor * u, h) == pytest.approx(factor * l2_norm(u, h), rel=1e-15)
+                assert h1_seminorm(factor * u, h) == pytest.approx(factor * h1_seminorm(u, h), rel=1e-15)
+        assert [str(w.message) for w in caught] == []
 
 
 class TestDiscreteInnerProducts:

@@ -69,6 +69,11 @@ COMMANDS = [
             ("analytic", ["analytic"]),
         )
     ],
+    # errors near 1e182 whose squares overflow: the norms scale before squaring, so the table is finite
+    ("converge_norm_past_square_range",
+     {"a1": 1.95983915425917e+30, "L": 5.200198134116831e+60, "mu": 3.248851748672497e+269,
+      "omega": 1.396156436588351e-25, "n_springs": 300, "eps_tilde": 0.7},
+     ["converge", "--n-list", "8,16,32"]),
     # error paths: each exits nonzero with one stderr line and should leave no file or directory
     ("error_sweep_no_successful_point", {"Lambda": 1.0},
      ["sweep", "--axis", "k_omega", "--from", "1e305", "--to", "1e306", "--points", "2", "--log"]),
@@ -94,7 +99,7 @@ COMMANDS = [
     # k_omega about 5.96e-164: s and b_d are finite, but the discriminant c (c + 4) overflows
     ("error_analytic_delta_overflow", {"n_springs": 1, "k_tilde": 1e-170}, ["analytic", "--samples", "2"]),
     # numeric blow-ups fail with one line: an invalid product in the head velocity, a stiffness stencil that
-    # overflows in Python floats (refused by Crank-Nicolson), and an error norm whose square overflows
+    # overflows in Python floats (refused by Crank-Nicolson), and a continuum reference whose r overflows
     ("error_simulate_velocity_invalid",
      {"a_tilde": 7.208166483600289e+224, "a1": 9.406300878363314e+50, "Lambda": 761409092.1376953,
       "L": 6.897820557790091e+275, "k_tilde": 4.4336706824525126e+63, "mu": 6.605892088843597e-290,
@@ -104,9 +109,9 @@ COMMANDS = [
      {"Lambda": 3.263154194182222e+182, "L": 2.4786994078256837e+67, "k_tilde": 1.6393304886730294e-148,
       "omega": 9.96544660707212e-178, "n_springs": 1, "eps_tilde": 0.7},
      ["simulate", "--scheme", "lumped", "--samples", "8"]),
-    ("error_converge_norm_overflow",
-     {"a1": 1.95983915425917e+30, "L": 5.200198134116831e+60, "mu": 3.248851748672497e+269,
-      "omega": 1.396156436588351e-25, "n_springs": 300, "eps_tilde": 0.7},
+    ("error_converge_boundary_layer_underflow",
+     {"a_tilde": 4.454642171725803e+298, "a1": 1.1503396383100242e-50, "Lambda": 4.893436525904257e-249,
+      "omega": 6.753232776291005e-123, "n_springs": 2, "eps_tilde": 0.7},
      ["converge", "--n-list", "8,16,32"]),
 ]
 
