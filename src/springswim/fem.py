@@ -13,11 +13,12 @@ one at a time, which solve_transient collects.
 
 Both solves call LAPACK through _lapack(), which loads scipy's compiled
 wrapper module scipy.linalg._flapack on first use and nothing else of
-scipy. Importing the scipy.linalg package would run its init, which also
-loads numpy.testing, numpy.f2py, numpy.ma and numpy.random: it roughly
-doubles the import time and memory of a solving CLI call, while the wrapper
-module alone loads in milliseconds. Paths that never solve (the
-closed-form modes) load no scipy at all.
+scipy, with no import hook: a later scipy.linalg import shares it through
+sys.modules but leaves its package attribute unset. Importing scipy.linalg
+runs its init, which also loads numpy.testing, numpy.f2py, numpy.ma and
+numpy.random: that roughly doubles the import time and memory of a solving
+CLI call, while the wrapper module alone loads in milliseconds. Paths that
+never solve (the closed-form modes) load no scipy at all.
 """
 
 from __future__ import annotations
@@ -89,31 +90,12 @@ def assemble(params: SwimmerParams, forcing: Forcing, variant: MassVariant) -> A
     )
 
 
-class _FlapackOnScipyLinalg:
-    """Meta path finder: a scipy.linalg imported after _lapack() gets its _flapack attribute before
-    its init runs. The import system sets it only on a submodule that it loads itself."""
-
-    def find_spec(self, name, path, target=None):
-        if name != "scipy.linalg":
-            return None
-        sys.meta_path.remove(self)
-        spec = importlib.util.find_spec(name)
-        init = spec.loader.exec_module
-
-        def exec_module(module):
-            module._flapack = sys.modules["scipy.linalg._flapack"]
-            init(module)
-
-        spec.loader.exec_module = exec_module
-        return spec
-
-
 @functools.cache
 def _lapack():
     """scipy.linalg._flapack, the compiled LAPACK wrappers, without scipy.linalg's package init.
 
-    It is registered in sys.modules under its own name: an earlier import of scipy.linalg is
-    reused here, and a later one reuses it and gets it as scipy.linalg._flapack.
+    It is registered in sys.modules under its own name, with no import hook: an earlier import of
+    scipy.linalg is reused here, and a later one binds it from there but leaves its attribute unset.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
@@ -126,7 +108,6 @@ def _lapack():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     sys.modules[name] = module
-    sys.meta_path.insert(0, _FlapackOnScipyLinalg())  # scipy.linalg is not imported, or it had loaded this
     return module
 
 
@@ -136,15 +117,17 @@ def harmonic_state(system: AssembledSystem) -> np.ndarray:
     Solves (i*omega*M + A) u = F where F is the complex load vector, zero
     but for load_amplitude at node 0; the physical orbit is
     Re(u * exp(i omega t)). The tridiagonal solve is LAPACK zgtsv, with
-    the checks and the n = 1 division of scipy.linalg.solve_banded.
-    It combines the stencils expanded into real bands; combining the scalars
-    is faster, but waits on the benchmark's peak-RSS fix (ROADMAP item 1a).
+    the checks and the n = 1 division of scipy.linalg.solve_banded. M is
+    scaled by omega on its stencil scalars, checked with A and the load before
+    numpy runs, as in CrankNicolson. The bands expand the stencils; combining
+    the scalars is faster, but waits on the peak-RSS fix of ROADMAP item 1a.
     """
-    (mass_diag, mass_off), (stiff_diag, stiff_off) = _bands(system.n, system.mass), _bands(system.n, system.stiffness)
-    diag = 1j * system.omega * mass_diag + stiff_diag
-    off = 1j * system.omega * mass_off + stiff_off
-    if not (np.isfinite(diag).all() and np.isfinite(off).all() and np.isfinite(system.load_amplitude)):
+    omega_mass = [system.omega * m for m in system.mass]
+    if not np.isfinite([*omega_mass, *system.stiffness, system.load_amplitude]).all():  # omega*M can overflow
         raise ValueError("harmonic system must not contain infs or NaNs")
+    (mass_diag, mass_off), (stiff_diag, stiff_off) = _bands(system.n, omega_mass), _bands(system.n, system.stiffness)
+    diag = 1j * mass_diag + stiff_diag
+    off = 1j * mass_off + stiff_off
     rhs = np.zeros(diag.size, dtype=complex)
     rhs[0] = system.load_amplitude
     if diag.size == 1:

@@ -83,6 +83,9 @@ class SwimmerParams:
             check = positive_count if field.name == "n_springs" else positive_real
             object.__setattr__(self, field.name, check(field.name, getattr(self, field.name)))
         positive_real("relaxation_rate", self.relaxation_rate)  # K can under- or overflow
+        positive_real("h", self.h)  # Lambda/N can underflow
+        if self.coupling == math.inf:  # a coupling that underflows to 0 is the no-coupling limit
+            raise ValueError(f"coupling a_tilde/(2 a1) must be finite, got {self.coupling!r}")
 
     @property
     def h(self) -> float:

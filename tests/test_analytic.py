@@ -398,12 +398,8 @@ class TestContinuousMode:
 
     def test_out_of_float_range_raises(self):
         base, forcing = default_pair()
-        # Lambda sqrt(2 k_omega) underflows, so r = (r Lambda)/Lambda overflows
-        short = config_from_mapping({"a_tilde": 4.454642171725803e+298, "a1": 1.1503396383100242e-50,
-                                     "Lambda": 4.893436525904257e-249, "omega": 6.753232776291005e-123,
-                                     "n_springs": 2, "eps_tilde": 0.7})
-        # r is fine, but the coupling a_tilde/(2 a1) overflows and b is NaN
-        coupled = (dataclasses.replace(base, a1=1e-320), forcing)
+        # Lambda sqrt(2 k_omega) ~ 3.5e-322 is subnormal, so r = (r Lambda)/Lambda overflows
+        short = config_from_mapping({"Lambda": 1e-200, "k_tilde": 1e-250, "n_springs": 2})
         # r is fine, but an arm of 1e307 m at k_omega = 1e-4 drives b past the largest double
         long_arm = Forcing(eps_tilde=0.99, omega=forcing.omega, L_ref=1e307)
         soft = (params_for_k_omega(base, long_arm, 1e-4), long_arm)
@@ -411,7 +407,7 @@ class TestContinuousMode:
         wide = (params_for_k_omega(dataclasses.replace(base, Lambda=1e300), forcing, 1e50), forcing)
         # Lambda sqrt(2 k_omega) ~ 1.4e310, so r is subnormal and has lost its digits
         subnormal = (params_for_k_omega(dataclasses.replace(base, Lambda=1e285), forcing, 1e50), forcing)
-        for params, forcing in (short, coupled, soft, wide, subnormal):
+        for params, forcing in (short, soft, wide, subnormal):
             k_omega = k_omega_of(params, forcing)
             message = f"k_omega={k_omega!r}, Lambda={params.Lambda!r}: continuous mode out of float range"
             with warnings.catch_warnings(record=True) as caught:

@@ -814,8 +814,10 @@ def fail_on_second_block():
 
 
 SWEEP, EPS_SWEEP = (["sweep", "--axis", axis, "--points", "3"] for axis in ("k_omega", "eps_tilde"))
+HARMONIC_OVERFLOW = ('{"a_tilde": 1.3851714533727236e+23, "Lambda": 4.1904315550649165e+194, '
+                     '"L": 6.094858334111226e+87, "omega": 2.6476524888807593e+204, "n_springs": 1, "eps_tilde": 0.999}')
 # the failure contract over all five subcommands: label -> (config file text or None, arguments,
-# the error line after "error: ", or None where any single line will do)
+# the error line after "error: " with {config} for the config path, or None where any single line will do)
 FAILURES = {
     "simulate-dt-inf": (None, ["simulate", "--scheme", "lumped", "--dt", "inf"], None),
     "simulate-t-end-negative": (None, ["simulate", "--t-end", "-1e-3"],
@@ -866,13 +868,21 @@ FAILURES = {
         '{"Lambda": 3.263154194182222e+182, "L": 2.4786994078256837e+67, "k_tilde": 1.6393304886730294e-148, '
         '"omega": 9.96544660707212e-178, "n_springs": 1, "eps_tilde": 0.7}',
         ["simulate", "--scheme", "lumped", "--samples", "8"], "Crank-Nicolson system must not contain infs or NaNs"),
+    # omega M overflows in the harmonic solve although omega and M are finite: refused on the stencil scalars
+    "converge-harmonic-overflow": (HARMONIC_OVERFLOW, ["converge", "--n-list", "8,16,32"],
+                                   "harmonic system must not contain infs or NaNs"),
+    "optimize-harmonic-overflow": (HARMONIC_OVERFLOW, ["optimize"], "harmonic system must not contain infs or NaNs"),
     # Lambda sqrt(2 k_omega) underflows, so the continuum reference's r = (r Lambda)/Lambda overflows
     "converge-boundary-layer-underflow": (
-        '{"a_tilde": 4.454642171725803e+298, "a1": 1.1503396383100242e-50, "Lambda": 4.893436525904257e-249, '
-        '"omega": 6.753232776291005e-123, "n_springs": 2, "eps_tilde": 0.7}',
+        '{"Lambda": 1e-200, "k_tilde": 1e-250, "n_springs": 2}',
         ["converge", "--n-list", "8,16,32"],
-        "k_omega=1.9814555145574e-183, Lambda=4.893436525904257e-249: continuous mode out of float range "
-        "(r=(inf+infj), b=(nan+nanj))"),
+        "k_omega=5.960859291831287e-244, Lambda=1e-200: continuous mode out of float range "
+        "(r=(inf+infj), b=(-3.0410241292294817e+116-3.0410241292294817e+116j))"),
+    # derived scalars refused at load, where SwimmerParams forms them
+    "analytic-infinite-coupling": ('{"n_springs": 3, "a1": 1e-320}', ["analytic", "--samples", "2"],
+                                   "config {config}: coupling a_tilde/(2 a1) must be finite, got inf"),
+    "sweep-zero-spacing": ('{"Lambda": 5e-324, "n_springs": 3}', [*SWEEP, "--from", "0.1", "--to", "1"],
+                           "config {config}: h must be positive and finite, got 0.0"),
 }
 
 
@@ -939,7 +949,7 @@ class TestErrorHandling:
         assert code in (1, 2)
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
         if message is not None:
-            assert err == f"error: {message}\n"
+            assert err == f"error: {message}\n".replace("{config}", str(tmp_path / "config.json"))
         assert [str(w.message) for w in caught] == []
         assert not (tmp_path / "new").exists()
 
@@ -1046,12 +1056,15 @@ from springswim import MassVariant, assemble, fem, harmonic_state
 from springswim.model import config_from_mapping
 
 params, forcing = config_from_mapping({"n_springs": 8})
+meta_path = list(sys.meta_path)
 harmonic_state(assemble(params, forcing, MassVariant.NSPRING))
+assert sys.meta_path == meta_path  # no import hook is left behind
 if sys.argv[1] == "solve-first":
     assert "scipy.linalg" not in sys.modules
 import scipy.linalg.lapack
 assert sys.modules["scipy.linalg._flapack"] is fem._lapack()
-assert scipy.linalg._flapack is fem._lapack()  # the package attribute, not only the sys.modules entry
+if sys.argv[1] == "scipy-first":
+    assert scipy.linalg._flapack is fem._lapack()  # set by scipy's own import, which the solve reused
 assert scipy.linalg.lapack.zgtsv is fem._lapack().zgtsv
 """
 

@@ -216,11 +216,16 @@ class TestHarmonicState:
         ]
         if n > 1:
             cases.append(dataclasses.replace(system, stiffness=(first, interior, math.inf)))
+        else:  # the unread interior entry is checked too
+            cases.append(dataclasses.replace(system, stiffness=(first, math.nan, off)))
         for case in cases:  # both solvers refuse it, neither steps it into NaN rows
             with pytest.raises(ValueError, match="harmonic system must not contain infs or NaNs"):
                 harmonic_state(case)
             with pytest.raises(ValueError, match="Crank-Nicolson system must not contain infs or NaNs"):
                 CrankNicolson(case, forcing.period / 64)
+        # omega M overflows from finite omega and M: refused before numpy forms it, which would warn
+        with pytest.raises(ValueError, match="harmonic system must not contain infs or NaNs"):
+            harmonic_state(dataclasses.replace(system, omega=1e300, mass=(1e10,) * 3))
 
     def test_singular_system_rejected(self):
         # [[1, 1], [1, 1]] with no mass term: elimination leaves an exact zero pivot

@@ -78,6 +78,15 @@ class TestSwimmerParams:
         with pytest.raises(ValueError, match="n_springs"):
             dataclasses.replace(params, n_springs=0)
 
+    def test_derived_scalars_checked_where_formed(self):
+        params, _ = default_pair()
+        with pytest.raises(ValueError, match=re.escape("coupling a_tilde/(2 a1) must be finite, got inf")):
+            dataclasses.replace(params, a1=1e-320)
+        with pytest.raises(ValueError, match="^h must be positive and finite, got 0.0$"):
+            dataclasses.replace(params, Lambda=5e-324, n_springs=3)
+        # 2 a1 overflows: a coupling of 0.0 is the no-coupling limit, not an error
+        assert dataclasses.replace(params, a1=1e308).coupling == 0.0
+
 
 class TestForcing:
     def test_arm_length_bounds(self):

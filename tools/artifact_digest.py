@@ -99,7 +99,8 @@ COMMANDS = [
     # k_omega about 5.96e-164: s and b_d are finite, but the discriminant c (c + 4) overflows
     ("error_analytic_delta_overflow", {"n_springs": 1, "k_tilde": 1e-170}, ["analytic", "--samples", "2"]),
     # numeric blow-ups fail with one line: an invalid product in the head velocity, a stiffness stencil that
-    # overflows in Python floats (refused by Crank-Nicolson), and a continuum reference whose r overflows
+    # overflows in Python floats (refused by Crank-Nicolson), an omega M that overflows (refused by the
+    # harmonic solve on its stencil scalars), and a continuum reference whose r overflows
     ("error_simulate_velocity_invalid",
      {"a_tilde": 7.208166483600289e+224, "a1": 9.406300878363314e+50, "Lambda": 761409092.1376953,
       "L": 6.897820557790091e+275, "k_tilde": 4.4336706824525126e+63, "mu": 6.605892088843597e-290,
@@ -109,10 +110,16 @@ COMMANDS = [
      {"Lambda": 3.263154194182222e+182, "L": 2.4786994078256837e+67, "k_tilde": 1.6393304886730294e-148,
       "omega": 9.96544660707212e-178, "n_springs": 1, "eps_tilde": 0.7},
      ["simulate", "--scheme", "lumped", "--samples", "8"]),
-    ("error_converge_boundary_layer_underflow",
-     {"a_tilde": 4.454642171725803e+298, "a1": 1.1503396383100242e-50, "Lambda": 4.893436525904257e-249,
-      "omega": 6.753232776291005e-123, "n_springs": 2, "eps_tilde": 0.7},
+    ("error_converge_harmonic_overflow",
+     {"a_tilde": 1.3851714533727236e+23, "Lambda": 4.1904315550649165e+194, "L": 6.094858334111226e+87,
+      "omega": 2.6476524888807593e+204, "n_springs": 1, "eps_tilde": 0.999},
      ["converge", "--n-list", "8,16,32"]),
+    ("error_converge_boundary_layer_underflow", {"Lambda": 1e-200, "k_tilde": 1e-250, "n_springs": 2},
+     ["converge", "--n-list", "8,16,32"]),
+    # derived scalars refused at load: a coupling a_tilde/(2 a1) that overflows and a spacing Lambda/N that underflows
+    ("error_analytic_infinite_coupling", {"n_springs": 3, "a1": 1e-320}, ["analytic", "--samples", "2"]),
+    ("error_sweep_zero_spacing", {"Lambda": 5e-324, "n_springs": 3},
+     ["sweep", "--axis", "k_omega", "--from", "0.1", "--to", "1", "--points", "3"]),
 ]
 
 
