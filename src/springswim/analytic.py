@@ -124,9 +124,9 @@ class ContinuousModeShape:
         return -self.r * self.b * (np.exp(-self.r * y) + np.exp(-self.r * (2.0 * self.length - y)))
 
     def profile_integral(self, y) -> np.ndarray:
-        """Complex amplitude of the integral of the profile from 0 to y."""
+        """Complex amplitude of the integral of the profile from 0 to y, over length: b is divided by r length."""
         y = np.asarray(y, dtype=float)
-        return (self.b / self.r) * np.expm1(-self.r * y) * np.expm1(-self.r * (2.0 * self.length - y))
+        return (self.b / (self.r * self.length)) * np.expm1(-self.r * y) * np.expm1(-self.r * (2.0 * self.length - y))
 
     def values(self, y, t: float) -> np.ndarray:
         """Physical elongation profile at time t."""

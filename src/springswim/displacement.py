@@ -97,19 +97,23 @@ def instantaneous_v1(params: SwimmerParams, forcing: Forcing, state: np.ndarray,
     if t.shape != ell.shape[:-1]:
         raise ValueError(f"need one time per state row, got {t.shape} for state {ell.shape}")
     k = params.relaxation_rate
-    arm = forcing.arm_length(t)
-    arm_rate = forcing.arm_velocity(t)
-    cums = arm[..., None] + np.cumsum(ell[..., :n] / n + params.h, axis=-1)
-    if np.any(arm <= 0.0) or np.any(cums <= 0.0):
-        raise ValueError("unphysical state: non-positive cumulative arm length")
-    tail = TAIL * params.a_tilde * k * np.sum((ell[..., :n] - ell[..., 1:]) / cums, axis=-1)
-    v1 = (
-        0.5 * arm_rate
-        - params.coupling * k * ell[..., 0]
-        - HEAD * params.a1 * arm_rate / arm
-        - HEAD * k * params.a_tilde * ell[..., 0] / arm
-        + tail
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a velocity past the float range is refused below
+        arm = forcing.arm_length(t)
+        arm_rate = forcing.arm_velocity(t)
+        cums = arm[..., None] + np.cumsum(ell[..., :n] / n + params.h, axis=-1)
+        if np.any(arm <= 0.0) or np.any(cums <= 0.0):
+            raise ValueError("unphysical state: non-positive cumulative arm length")
+        tail = TAIL * params.a_tilde * k * np.sum((ell[..., :n] - ell[..., 1:]) / cums, axis=-1)
+        v1 = (
+            0.5 * arm_rate
+            - params.coupling * k * ell[..., 0]
+            - HEAD * params.a1 * (arm_rate / arm)
+            - HEAD * k * params.a_tilde * (ell[..., 0] / arm)
+            + tail
+        )
+    if not np.isfinite(v1).all():  # name the scales: eps*omega, a1*omega and a_tilde*K are speeds, coupling*K a rate
+        scales = (forcing.eps * forcing.omega, params.a1 * forcing.omega, params.a_tilde * k, params.coupling * k)
+        raise ValueError(f"head velocity out of float range: eps*omega, a1*omega, a_tilde*K, coupling*K = {scales}")
     return float(v1) if v1.ndim == 0 else v1
 
 
@@ -194,7 +198,7 @@ def stroke_displacement_continuous(params: SwimmerParams, forcing: Forcing) -> S
     lam = params.Lambda
     unit_y, unit_w = _unit_y_rule()
     y = lam * unit_y
-    b = forcing.eps + mode.profile_integral(y) / lam
+    b = forcing.eps + mode.profile_integral(y)
     means = _period_mean(mode.profile_gradient(y), b, forcing.L_ref + y)
     return _drift(params, forcing, mode.profile(0.0), -lam * (unit_w @ means))
 

@@ -35,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import Forcing, SwimmerParams, positive_count, positive_real
+from .model import Forcing, SwimmerParams, positive_count, positive_real, units
 
 
 class MassVariant(Enum):
@@ -48,14 +48,13 @@ class MassVariant(Enum):
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Semi-discrete system M dl/dt + A l = load(t) on the n retained nodes.
+    """Semi-discrete system M du/dt + A u = load(t) on the n retained nodes, for elongations l = unit * u.
 
     A and M are stored as stencils (row-0 diagonal, interior diagonal,
     off-diagonal); at n = 1 the interior entry is unread. The load is zero
-    except at the driven node 0, where it is f_0(t) = Re(load_amplitude *
-    exp(i omega t)) at the drive frequency omega; assemble sets
-    load_amplitude to -(Lambda/2) * i omega eps, the complex amplitude of
-    -(Lambda/2) dL0/dt.
+    except at node 0: f_0(t) = Re(load_amplitude exp(i omega t)). assemble divides
+    the equation in metres by 2**floor(log2 Lambda), and the load -(Lambda/2) i omega eps
+    of -(Lambda/2) dL0/dt by unit = 2**floor(log2 eps) too (model.units): both exact.
     """
 
     n: int
@@ -63,6 +62,7 @@ class AssembledSystem:
     mass: tuple[float, float, float]
     omega: float
     load_amplitude: complex
+    unit: float
 
 
 def assemble(params: SwimmerParams, forcing: Forcing, variant: MassVariant) -> AssembledSystem:
@@ -74,7 +74,8 @@ def assemble(params: SwimmerParams, forcing: Forcing, variant: MassVariant) -> A
     """
     if not isinstance(variant, MassVariant):
         raise ValueError(f"unknown mass variant {variant!r}")
-    h, lam, k = params.h, params.Lambda, params.relaxation_rate
+    length, unit = units(params, forcing)
+    h, lam, k = params.h / length, params.Lambda / length, params.relaxation_rate
     cond = lam * lam * k / h
     mass = {
         MassVariant.CONSISTENT: (h / 3.0, 2.0 * h / 3.0, h / 6.0),
@@ -86,7 +87,8 @@ def assemble(params: SwimmerParams, forcing: Forcing, variant: MassVariant) -> A
         stiffness=(cond + lam * k * params.coupling, 2.0 * cond, -cond),
         mass=mass[variant],
         omega=forcing.omega,
-        load_amplitude=-(lam / 2.0) * 1j * forcing.omega * forcing.eps,
+        load_amplitude=-(lam / 2.0) * 1j * forcing.omega * (forcing.eps / unit),
+        unit=unit,
     )
 
 
@@ -115,8 +117,8 @@ def harmonic_state(system: AssembledSystem) -> np.ndarray:
     """Complex node amplitudes of the periodic orbit of the semi-discrete system.
 
     Solves (i*omega*M + A) u = F where F is the complex load vector, zero
-    but for load_amplitude at node 0; the physical orbit is
-    Re(u * exp(i omega t)). The tridiagonal solve is LAPACK zgtsv, with
+    but for load_amplitude at node 0, and returns the amplitudes unit * u:
+    the physical orbit is Re(unit * u * exp(i omega t)). The solve is LAPACK zgtsv, with
     the checks and the n = 1 division of scipy.linalg.solve_banded. M is
     scaled by omega on its stencil scalars, checked with A and the load before
     numpy runs, as in CrankNicolson. The bands expand the stencils; combining
@@ -131,11 +133,11 @@ def harmonic_state(system: AssembledSystem) -> np.ndarray:
     rhs = np.zeros(diag.size, dtype=complex)
     rhs[0] = system.load_amplitude
     if diag.size == 1:
-        return rhs / diag
+        return system.unit * (rhs / diag)
     *_, u, info = _lapack().zgtsv(off, diag, off, rhs, overwrite_d=True, overwrite_b=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"singular harmonic system (zgtsv info={info})")
-    return u
+    return system.unit * u
 
 
 def _bands(n: int, stencil: tuple[float, float, float]) -> tuple[np.ndarray, np.ndarray]:
@@ -161,9 +163,9 @@ class CrankNicolson:
 
     def __init__(self, system: AssembledSystem, dt: float):
         self.dt = dt = positive_real("dt", dt)
-        self._omega = omega = system.omega
-        half = 0.5 * dt
-        g = half * system.load_amplitude * (1.0 + complex(math.cos(omega * dt), math.sin(omega * dt)))
+        self._omega, self._unit = system.omega, system.unit
+        half, turn = 0.5 * dt, system.omega * dt
+        g = half * system.load_amplitude * (1.0 + complex(math.cos(turn), math.sin(turn)))
         minus = [m - half * a for m, a in zip(system.mass, system.stiffness)]
         plus = [m + half * a for m, a in zip(system.mass, system.stiffness)]
         if not np.isfinite([*minus, *plus, g]).all():  # an inf or NaN in M, A or the load reaches these
@@ -190,13 +192,14 @@ class CrankNicolson:
         return u
 
     def samples(self, state: np.ndarray, nsteps: int, sample_every: int):
-        """Yield (t, n+1 node values) from state (n values) at t = 0 and after every sample_every-th step."""
-        step, dt = self.step, self.dt
+        """Yield (t, n+1 node values) from state (n values) at t = 0 and after each sample_every-th step of it/unit."""
+        step, dt, unit = self.step, self.dt, self._unit
         yield 0.0, np.append(state, 0.0)
+        state = state / unit
         for end in range(sample_every, nsteps + 1, sample_every):
             for k in range(end - sample_every, end):
                 state = step(state, k * dt)
-            yield end * dt, np.append(state, 0.0)
+            yield end * dt, np.append(unit * state, 0.0)
 
 
 def step_count(t_end: float, dt: float) -> int:

@@ -140,6 +140,11 @@ class Forcing:
         return -self.eps * self.omega * np.sin(self.omega * np.asarray(t, dtype=float))
 
 
+def units(params: SwimmerParams, forcing: Forcing) -> tuple[float, float]:
+    """fem's exact units (a power of two divides exactly): 2**floor(log2 x) for x = Lambda and eps (1 at eps = 0)."""
+    return tuple(math.ldexp(0.5, math.frexp(x)[1]) if x else 1.0 for x in (params.Lambda, forcing.eps))
+
+
 def k_omega_of(params: SwimmerParams, forcing: Forcing) -> float:
     """k_omega = K/omega, the relaxation rate K = k_tilde/(6 pi mu a_tilde) in driving periods.
 

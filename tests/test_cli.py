@@ -814,8 +814,9 @@ def fail_on_second_block():
 
 
 SWEEP, EPS_SWEEP = (["sweep", "--axis", axis, "--points", "3"] for axis in ("k_omega", "eps_tilde"))
-HARMONIC_OVERFLOW = ('{"a_tilde": 1.3851714533727236e+23, "Lambda": 4.1904315550649165e+194, '
-                     '"L": 6.094858334111226e+87, "omega": 2.6476524888807593e+204, "n_springs": 1, "eps_tilde": 0.999}')
+# Lambda = 1 m is a power of two, so the stencils have the same bits in metres and in fem's units, and
+# K n (k_omega n omega: n_springs = 2000 here, 8 to 32 in converge) overflows the stiffness stencil in both
+STENCIL_OVERFLOW = '{"Lambda": 1.0, "k_tilde": 1e301, "omega": 1e306}'
 # the failure contract over all five subcommands: label -> (config file text or None, arguments,
 # the error line after "error: " with {config} for the config path, or None where any single line will do)
 FAILURES = {
@@ -857,21 +858,36 @@ FAILURES = {
     "analytic-samples-negative": (None, ["analytic", "--samples", "-1"], None),
     "analytic-config-eps-tilde-negative": ('{"eps_tilde": -0.1}', ["analytic"], None),
     "analytic-delta-overflow": ('{"n_springs": 1, "k_tilde": 1e-170}', ["analytic", "--samples", "2"], None),
-    # numeric blow-ups: numpy's own words under the CLI's float policy, or the Crank-Nicolson guard where
-    # the stiffness stencil overflows in Python floats, (inf, inf, -inf), which no numpy flag sees
+    # numeric blow-ups, each refused where its value is formed: a head velocity past the float range (an
+    # infinite a_tilde*K times a zero sum, an infinite a1*omega, an infinite coupling*K), and stencils that
+    # overflow in Python floats, (inf, inf, -inf), which no numpy flag sees
     "simulate-velocity-invalid": (
         '{"a_tilde": 7.208166483600289e+224, "a1": 9.406300878363314e+50, "Lambda": 761409092.1376953, '
         '"L": 6.897820557790091e+275, "k_tilde": 4.4336706824525126e+63, "mu": 6.605892088843597e-290, '
         '"n_springs": 2, "eps_tilde": 0.0}',
-        ["simulate", "--samples", "4"], "invalid value encountered in multiply"),
+        ["simulate", "--samples", "4"],
+        "head velocity out of float range: eps*omega, a1*omega, a_tilde*K, coupling*K = "
+        "(0.0, 9.406300878363314e+50, inf, 1.8927008276640372e+300)"),
+    "simulate-head-speed-overflow": (
+        '{"a_tilde": 4.347341912231095e+85, "a1": 2.422417003525057e+206, "mu": 8.169247772155393e-159, '
+        '"omega": 7.9919892572058e+191, "n_springs": 1, "eps_tilde": 0.3}',
+        ["simulate", "--scheme", "lumped", "--samples", "8"],
+        "head velocity out of float range: eps*omega, a1*omega, a_tilde*K, coupling*K = "
+        "(7.192790331485221e+186, inf, 6.494067651874045e+148, 1.3404107637999561e-58)"),
+    "simulate-head-coupling-overflow": (
+        '{"a_tilde": 1.5019633762098877e+130, "a1": 2.5950562856382177e-83, "Lambda": 4.5631510819824566e+103, '
+        '"L": 5.461339908555718e+272, "k_tilde": 4.509251569180649e+137, "mu": 2.5943731107541185e-147, '
+        '"n_springs": 2, "eps_tilde": 0.3}',
+        ["simulate", "--samples", "8"],
+        "head velocity out of float range: eps*omega, a1*omega, a_tilde*K, coupling*K = "
+        "(1.6384019725667155e+272, 2.5950562856382177e-83, 9.22084894555224e+282, inf)"),
     "simulate-lumped-stiffness-overflow": (
-        '{"Lambda": 3.263154194182222e+182, "L": 2.4786994078256837e+67, "k_tilde": 1.6393304886730294e-148, '
-        '"omega": 9.96544660707212e-178, "n_springs": 1, "eps_tilde": 0.7}',
-        ["simulate", "--scheme", "lumped", "--samples", "8"], "Crank-Nicolson system must not contain infs or NaNs"),
-    # omega M overflows in the harmonic solve although omega and M are finite: refused on the stencil scalars
-    "converge-harmonic-overflow": (HARMONIC_OVERFLOW, ["converge", "--n-list", "8,16,32"],
+        STENCIL_OVERFLOW, ["simulate", "--scheme", "lumped", "--samples", "8"],
+        "Crank-Nicolson system must not contain infs or NaNs"),
+    # refused on the stencil scalars by the harmonic solve, before numpy forms a band
+    "converge-harmonic-overflow": (STENCIL_OVERFLOW, ["converge", "--n-list", "8,16,32"],
                                    "harmonic system must not contain infs or NaNs"),
-    "optimize-harmonic-overflow": (HARMONIC_OVERFLOW, ["optimize"], "harmonic system must not contain infs or NaNs"),
+    "optimize-harmonic-overflow": (STENCIL_OVERFLOW, ["optimize"], "harmonic system must not contain infs or NaNs"),
     # Lambda sqrt(2 k_omega) underflows, so the continuum reference's r = (r Lambda)/Lambda overflows
     "converge-boundary-layer-underflow": (
         '{"Lambda": 1e-200, "k_tilde": 1e-250, "n_springs": 2}',
@@ -952,6 +968,25 @@ class TestErrorHandling:
             assert err == f"error: {message}\n".replace("{config}", str(tmp_path / "config.json"))
         assert [str(w.message) for w in caught] == []
         assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("config, argv", [
+        # a product of lengths in metres overflowed: omega M in converge's harmonic solve, the stiffness stencil
+        # of the lumped scheme, and a1 dL0/dt in the head velocity of both simulate schemes
+        ('{"a_tilde": 1.3851714533727236e+23, "Lambda": 4.1904315550649165e+194, "L": 6.094858334111226e+87, '
+         '"omega": 2.6476524888807593e+204, "n_springs": 1, "eps_tilde": 0.999}', ["converge", "--n-list", "8,16,32"]),
+        ('{"Lambda": 3.263154194182222e+182, "L": 2.4786994078256837e+67, "k_tilde": 1.6393304886730294e-148, '
+         '"omega": 9.96544660707212e-178, "n_springs": 1, "eps_tilde": 0.7}',
+         ["simulate", "--scheme", "lumped", "--samples", "8"]),
+        *[('{"a1": 4.7309180829802365e+53, "L": 3.092800865972206e+282, "k_tilde": 1.1978645524870567e+263, '
+           '"n_springs": 5, "eps_tilde": 0.7}', ["simulate", "--scheme", scheme, "--samples", "8"])
+          for scheme in ("analytic", "lumped")],
+    ], ids=["converge", "simulate-lumped", "simulate-analytic-head", "simulate-lumped-head"])
+    def test_lengths_far_from_a_metre_succeed(self, tmp_path, capsys, config, argv):
+        # each failed while fem and the head velocity formed products of lengths in metres
+        (tmp_path / "config.json").write_text(config)
+        assert run([*argv, "--config", tmp_path / "config.json", "--out", tmp_path / "out"]) == 0
+        for path in (tmp_path / "out").iterdir():
+            assert not {"nan", "inf"} & set(path.read_text().replace(",", " ").split()), path.name
 
     def test_no_blow_up_escapes_the_contract(self, tmp_path, capsys):
         # valid configs with lengths, radii, stiffness, viscosity and frequency anywhere in the float range:

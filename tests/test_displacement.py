@@ -242,7 +242,7 @@ class TestStrokeDiscrete:
             with pytest.raises(ValueError, match=message):
                 stroke_displacement_discrete(params, forcing, mode)
         else:
-            swept = -40.0 * forcing.L_ref * params.Lambda
+            swept = -40.0 * forcing.L_ref  # profile_integral is over Lambda
             monkeypatch.setattr(ContinuousModeShape, "profile_integral", lambda self, y: np.full(np.shape(y), swept))
             with pytest.raises(ValueError, match=message):
                 stroke_displacement_continuous(params, forcing)

@@ -21,11 +21,24 @@ from springswim.fem import (
     step_count,
 )
 from springswim.metrics import STEPS_PER_PERIOD
-from springswim.model import config_from_mapping, params_for_k_omega
+from springswim.model import config_from_mapping, params_for_k_omega, units
 
 
 def default_pair(**overrides):
     return config_from_mapping(overrides)
+
+
+def in_metres(system, params, forcing):
+    """system with its equation and load back in metres and unit 1: the stencils times the power of two
+    near Lambda, the load times that and unit (model.units). Both products are exact."""
+    length, unit = units(params, forcing)
+    return dataclasses.replace(
+        system,
+        stiffness=tuple(length * a for a in system.stiffness),
+        mass=tuple(length * m for m in system.mass),
+        load_amplitude=length * unit * system.load_amplitude,
+        unit=1.0,
+    )
 
 
 def dense(stencil, n):
@@ -66,7 +79,7 @@ class TestAssembly:
 
     def test_two_spring_hand_values(self):
         params, forcing = default_pair(n_springs=2)
-        system = assemble(params, forcing, MassVariant.NSPRING)
+        system = in_metres(assemble(params, forcing, MassVariant.NSPRING), params, forcing)
         h = params.h
         lam = params.Lambda
         k = params.relaxation_rate
@@ -77,17 +90,22 @@ class TestAssembly:
         assert np.allclose(stiff_off, [-cond], rtol=1e-14)
         assert np.allclose(mass_diag, [h, h])
         assert np.all(mass_off == 0.0)
+        # the units divide exactly, so back in metres each entry is bit for bit the metre formula
+        assert system.stiffness == (cond + lam * k * params.coupling, 2.0 * cond, -cond)
+        assert system.mass == (h, h, 0.0)
+        assert system.load_amplitude == -(lam / 2.0) * 1j * forcing.omega * forcing.eps
 
     def test_mass_variants(self):
         params, forcing = default_pair(n_springs=5)
         h = params.h
-        nspring_diag, _ = bands(assemble(params, forcing, MassVariant.NSPRING).mass, 5)
+        mass = {variant: in_metres(assemble(params, forcing, variant), params, forcing).mass for variant in MassVariant}
+        nspring_diag, _ = bands(mass[MassVariant.NSPRING], 5)
         assert np.allclose(nspring_diag, h)
-        trap_diag, trap_off = bands(assemble(params, forcing, MassVariant.TRAPEZOID).mass, 5)
+        trap_diag, trap_off = bands(mass[MassVariant.TRAPEZOID], 5)
         assert trap_diag[0] == pytest.approx(0.5 * h, rel=1e-15)
         assert np.allclose(trap_diag[1:], h)
         assert np.all(trap_off == 0.0)
-        cons_diag, cons_off = bands(assemble(params, forcing, MassVariant.CONSISTENT).mass, 5)
+        cons_diag, cons_off = bands(mass[MassVariant.CONSISTENT], 5)
         assert cons_diag[0] == pytest.approx(h / 3.0, rel=1e-15)
         assert np.allclose(cons_diag[1:], 2.0 * h / 3.0)
         assert np.allclose(cons_off, h / 6.0)
@@ -106,7 +124,7 @@ class TestAssembly:
 
     def test_load_vector(self):
         params, forcing = default_pair(n_springs=6)
-        system = assemble(params, forcing, MassVariant.TRAPEZOID)
+        system = in_metres(assemble(params, forcing, MassVariant.TRAPEZOID), params, forcing)
         lam = params.Lambda
         quarter = 0.5 * math.pi / forcing.omega
         expected = (lam / 2.0) * forcing.L_ref * forcing.eps_tilde * forcing.omega
@@ -119,7 +137,7 @@ class TestAssembly:
     def test_nspring_rows_match_component_equations(self):
         # matrix form M u' + A u = f against the per-node spring equations
         params, forcing = default_pair(n_springs=20)
-        system = assemble(params, forcing, MassVariant.NSPRING)
+        system = in_metres(assemble(params, forcing, MassVariant.NSPRING), params, forcing)
         rng = np.random.default_rng(17)
         n = params.n_springs
         h = params.h
@@ -148,7 +166,7 @@ class TestAssembly:
 
     def test_single_spring_assembly(self):
         params, forcing = default_pair(n_springs=1)
-        system = assemble(params, forcing, MassVariant.CONSISTENT)
+        system = in_metres(assemble(params, forcing, MassVariant.CONSISTENT), params, forcing)
         stiff_diag, stiff_off = bands(system.stiffness, system.n)
         assert stiff_diag.shape == (1,)
         assert stiff_off.shape == (0,)
@@ -172,8 +190,8 @@ class TestHarmonicState:
     def test_solves_the_complex_system(self):
         params, forcing = default_pair(n_springs=37)
         for variant in MassVariant:
-            system = assemble(params, forcing, variant)
-            u = harmonic_state(system)
+            u = harmonic_state(assemble(params, forcing, variant))
+            system = in_metres(assemble(params, forcing, variant), params, forcing)
             omega = forcing.omega
             matrix = 1j * omega * dense(system.mass, system.n) + dense(system.stiffness, system.n)
             rhs = np.zeros(params.n_springs, dtype=complex)
@@ -201,7 +219,7 @@ class TestHarmonicState:
             ab[0, 1:] = ab[2, :-1] = 1j * omega * mass_off + stiff_off
             rhs = np.zeros(n, dtype=complex)
             rhs[0] = system.load_amplitude
-            expected = solve_banded((1, 1), ab, rhs)
+            expected = system.unit * solve_banded((1, 1), ab, rhs)
             assert harmonic_state(system).tobytes() == expected.tobytes(), k_omega
 
     @pytest.mark.parametrize("n", [1, 5])
@@ -334,13 +352,14 @@ def dense_setup(system, dt):
     g = 0.5 * dt * system.load_amplitude * (1.0 + complex(math.cos(omega * dt), math.sin(omega * dt)))
     return types.SimpleNamespace(
         dt=dt, omega=omega, stencil=np.array([coupling, interior, coupling]), corner=minus[0, 0] - interior,
-        d=d, e=e, load_abs=abs(g), load_arg=math.atan2(g.imag, g.real), dpttrs=lapack.dpttrs,
+        d=d, e=e, load_abs=abs(g), load_arg=math.atan2(g.imag, g.real), dpttrs=lapack.dpttrs, unit=system.unit,
     )
 
 
 def convolve_samples(setup, state, nsteps, sample_every):
-    """Reference for CrankNicolson.samples on dense_setup's data: each step's right-hand side by
-    np.convolve, dpttrs with the keyword overwrite_b, every step taken, and a modulo test after each one."""
+    """Reference for CrankNicolson.samples on dense_setup's data: the state divided by the unit, each step's
+    right-hand side by np.convolve, dpttrs with the keyword overwrite_b, every step taken, a modulo test
+    after each one, and each sample times the unit."""
 
     def step(state, t):
         rhs = np.convolve(state, setup.stencil)[1:-1]
@@ -350,10 +369,11 @@ def convolve_samples(setup, state, nsteps, sample_every):
         return u
 
     yield 0.0, np.append(state, 0.0)
+    state = state / setup.unit
     for k in range(nsteps):
         state = step(state, k * setup.dt)
         if (k + 1) % sample_every == 0:
-            yield (k + 1) * setup.dt, np.append(state, 0.0)
+            yield (k + 1) * setup.dt, np.append(setup.unit * state, 0.0)
 
 
 class TestSolveTransient:
@@ -394,7 +414,7 @@ class TestSolveTransient:
             )
             state = np.linalg.solve(mass + 0.5 * dt * stiff, rhs)
             scale = np.max(np.abs(state))
-            assert np.max(np.abs(trajectory.values[k + 1, :-1] - state)) <= 1e-12 * scale
+            assert np.max(np.abs(trajectory.values[k + 1, :-1] / system.unit - state)) <= 1e-12 * scale
 
     def test_rejects_misaligned_times(self):
         params, forcing = default_pair(n_springs=4)
@@ -516,6 +536,6 @@ class TestAssembledSystem:
         params, forcing = default_pair(n_springs=3, omega=7.0)
         system = assemble(params, forcing, MassVariant.NSPRING)
         assert [field.name for field in dataclasses.fields(AssembledSystem)] == [
-            "n", "stiffness", "mass", "omega", "load_amplitude"
+            "n", "stiffness", "mass", "omega", "load_amplitude", "unit"
         ]
         assert system.omega == forcing.omega == 7.0

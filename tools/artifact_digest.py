@@ -98,21 +98,27 @@ COMMANDS = [
     ("error_converge_motionless", {"eps_tilde": 0.0}, ["converge", "--n-list", "8,16,32"]),
     # k_omega about 5.96e-164: s and b_d are finite, but the discriminant c (c + 4) overflows
     ("error_analytic_delta_overflow", {"n_springs": 1, "k_tilde": 1e-170}, ["analytic", "--samples", "2"]),
-    # numeric blow-ups fail with one line: an invalid product in the head velocity, a stiffness stencil that
-    # overflows in Python floats (refused by Crank-Nicolson), an omega M that overflows (refused by the
-    # harmonic solve on its stencil scalars), and a continuum reference whose r overflows
+    # lengths far from a metre, whose products in metres overflowed: a lumped stiffness stencil and a converge
+    # omega M; fem divides its equation by powers of two near Lambda and eps, so both now succeed
+    ("simulate_lumped_lengths_far_from_a_metre",
+     {"Lambda": 3.263154194182222e+182, "L": 2.4786994078256837e+67, "k_tilde": 1.6393304886730294e-148,
+      "omega": 9.96544660707212e-178, "n_springs": 1, "eps_tilde": 0.7},
+     ["simulate", "--scheme", "lumped", "--samples", "8"]),
+    ("converge_lengths_far_from_a_metre",
+     {"a_tilde": 1.3851714533727236e+23, "Lambda": 4.1904315550649165e+194, "L": 6.094858334111226e+87,
+      "omega": 2.6476524888807593e+204, "n_springs": 1, "eps_tilde": 0.999},
+     ["converge", "--n-list", "8,16,32"]),
+    # numeric blow-ups fail with one line: a head velocity past the float range, stiffness stencils whose
+    # K n overflows in Python floats at Lambda = 1 m (refused by Crank-Nicolson and by the harmonic solve on
+    # its stencil scalars), and a continuum reference whose r overflows
     ("error_simulate_velocity_invalid",
      {"a_tilde": 7.208166483600289e+224, "a1": 9.406300878363314e+50, "Lambda": 761409092.1376953,
       "L": 6.897820557790091e+275, "k_tilde": 4.4336706824525126e+63, "mu": 6.605892088843597e-290,
       "n_springs": 2, "eps_tilde": 0.0},
      ["simulate", "--samples", "4"]),
-    ("error_simulate_lumped_stiffness_overflow",
-     {"Lambda": 3.263154194182222e+182, "L": 2.4786994078256837e+67, "k_tilde": 1.6393304886730294e-148,
-      "omega": 9.96544660707212e-178, "n_springs": 1, "eps_tilde": 0.7},
+    ("error_simulate_lumped_stiffness_overflow", {"Lambda": 1.0, "k_tilde": 1e301, "omega": 1e306},
      ["simulate", "--scheme", "lumped", "--samples", "8"]),
-    ("error_converge_harmonic_overflow",
-     {"a_tilde": 1.3851714533727236e+23, "Lambda": 4.1904315550649165e+194, "L": 6.094858334111226e+87,
-      "omega": 2.6476524888807593e+204, "n_springs": 1, "eps_tilde": 0.999},
+    ("error_converge_harmonic_overflow", {"Lambda": 1.0, "k_tilde": 1e301, "omega": 1e306},
      ["converge", "--n-list", "8,16,32"]),
     ("error_converge_boundary_layer_underflow", {"Lambda": 1e-200, "k_tilde": 1e-250, "n_springs": 2},
      ["converge", "--n-list", "8,16,32"]),
