@@ -280,6 +280,8 @@ def cmd_optimize(args, params: SwimmerParams, forcing: Forcing):
 
 def cmd_analytic(args, params: SwimmerParams, forcing: Forcing):
     mode, samples = _closed_form(params, forcing, forcing.period, args.samples)
+    if not np.isfinite(mode.delta):  # the one written field that no node value needs
+        raise ValueError(f"k_omega={mode.k_omega!r}, n={mode.n}: chain mode out of float range (delta={mode.delta!r})")
     # the mode's fields but its root s; complex constants go to JSON as [real, imag]
     payload = {k: [v.real, v.imag] if isinstance(v, complex) else v for k, v in asdict(mode).items() if k != "s"}
     # map, unlike a generator expression, keeps no block alive while its table is written

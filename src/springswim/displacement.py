@@ -21,7 +21,7 @@ import numpy as np
 
 from .analytic import build_continuous_mode
 from .fem import MassVariant, assemble, harmonic_state
-from .model import Forcing, SwimmerParams, params_for_k_omega, positive_real
+from .model import MOTIONLESS, Forcing, SwimmerParams, params_for_k_omega, positive_real
 
 SWEEP_AXES = ("eps_tilde", "k_omega")
 #: Oseen weights of the head velocity law (Golestanian & Ajdari 2004): head-driver terms, tail sum.
@@ -249,9 +249,9 @@ def optimize_k_omega(
 ) -> OptimizeResult:
     """Golden-section maximization of |displacement| over log k_omega.
 
-    The bracket must contain an interior maximum of the magnitude. Golden
-    section never moves the end that a monotone magnitude runs into, so a
-    final bracket that still holds an end of the given one is an error.
+    The bracket must contain an interior maximum of the magnitude (eps_tilde = 0
+    has none and is refused). Golden section never moves the end that a monotone
+    magnitude runs into, so a final bracket that still holds an end of the given one is an error.
     rel_tol is the final bracket width in log coordinates, i.e. the relative
     uncertainty of the returned k_omega; one below its float spacing is an error.
     m_quad is ignored, as in stroke_displacement_discrete.
@@ -260,6 +260,8 @@ def optimize_k_omega(
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got {bracket!r}")
     rel_tol = positive_real("rel_tol", rel_tol)
+    if forcing.eps_tilde == 0.0:
+        raise ValueError(MOTIONLESS)
 
     def objective(u: float) -> float:
         point = params_for_k_omega(params, forcing, math.exp(u))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .analytic import ContinuousModeShape, build_continuous_mode
 from .fem import MassVariant, assemble, harmonic_state, solve_transient
-from .model import Forcing, SwimmerParams, positive_count
+from .model import MOTIONLESS, Forcing, SwimmerParams, k_omega_of, positive_count, study_scales
 
 STEPS_PER_PERIOD = 16384  # Crank-Nicolson steps per period of the stepped convergence study
 
@@ -138,12 +138,22 @@ def convergence_study(
     there. The lumped and galerkin schemes are stepped through one period
     with Crank-Nicolson, so the reported error is spatial up to the O(dt^2)
     stepping error; steps_per_period is chosen large enough that halving dt
-    moves the finest-grid errors by well under 1%.
+    moves the finest-grid errors by well under 1%. It runs at model.study_scales and scales its errors back exactly.
     """
     if len(n_list) < 1:
         raise ValueError("n_list must not be empty")
     steps_per_period = positive_count("steps_per_period", steps_per_period)
-    mode = build_continuous_mode(params, forcing)
+    if forcing.eps_tilde == 0.0:
+        raise ValueError(MOTIONLESS)
+    k_omega_of(params, forcing)  # unit-free: refused by its own message, not as the reference below
+    m, p = study_scales(params, forcing)
+    at = f"at Lambda/4**{m}, eps/2**{p}"
+    params = dc_replace(params, Lambda=math.ldexp(params.Lambda, -2 * m))  # both exact
+    forcing = dc_replace(forcing, L_ref=math.ldexp(forcing.L_ref, -p))
+    try:
+        mode = build_continuous_mode(params, forcing)
+    except ValueError as exc:  # it names the study's Lambda and r; b depends on k_omega, the coupling and eps
+        raise ValueError(f"continuum reference {at}, coupling={params.coupling!r}: {exc}") from None
     records = []
     for n in n_list:
         system = assemble(dc_replace(params, n_springs=n), forcing, variant)
@@ -153,4 +163,8 @@ def convergence_study(
             trajectory = solve_transient(system, state, forcing.period, dt, sample_every=steps_per_period)
             state = trajectory.values[-1]
         records.append(error_vs_analytic(state, mode, forcing.period))
-    return records
+    # back in the config's units: x > 0 of exponent e times 2**k is a positive finite double when -1073 <= e + k <= 1024
+    scaled = [(x, k) for r in records for x, k in ((r.l2_error, p + m), (r.h1_error, p - m))]
+    if not all(x > 0.0 and -1073 <= math.frexp(x)[1] + k <= 1024 for x, k in scaled):
+        raise ValueError(f"errors out of float range: L2, H1 times 2**{p + m}, 2**{p - m} {at}")
+    return [ErrorRecord(r.n, math.ldexp(r.l2_error, p + m), math.ldexp(r.h1_error, p - m)) for r in records]

@@ -30,6 +30,7 @@ DEFAULTS = {
     "eps_tilde": 0.7,
     "omega": 1.0,
 }
+MOTIONLESS = "eps_tilde = 0: the arm does not move, so every error and every drift is exactly 0"  # converge, optimize
 
 
 @functools.cache  # by type: isinstance against an ABC would be most of the cost of a check
@@ -143,6 +144,11 @@ class Forcing:
 def units(params: SwimmerParams, forcing: Forcing) -> tuple[float, float]:
     """fem's exact units (a power of two divides exactly): 2**floor(log2 x) for x = Lambda and eps (1 at eps = 0)."""
     return tuple(math.ldexp(0.5, math.frexp(x)[1]) if x else 1.0 for x in (params.Lambda, forcing.eps))
+
+
+def study_scales(params: SwimmerParams, forcing: Forcing) -> tuple[int, int]:
+    """Exact scales m, p of convergence_study: Lambda/4**m in [1/2, 2); eps/2**p in [1/2, 1), or L/2**p near 2**1000."""
+    return math.frexp(params.Lambda)[1] // 2, max(math.frexp(forcing.eps)[1], math.frexp(forcing.L_ref)[1] - 1000)
 
 
 def k_omega_of(params: SwimmerParams, forcing: Forcing) -> float:

@@ -24,7 +24,7 @@ from springswim.cli import _BLOCK, _SLICE, _format, _json, _write, main
 from springswim.displacement import SWEEP_AXES, instantaneous_v1, stroke_displacement_discrete
 from springswim.fem import MassVariant, assemble, harmonic_state, solve_transient
 from springswim.metrics import convergence_study, fit_rate
-from springswim.model import DEFAULTS, config_from_mapping, load_config
+from springswim.model import DEFAULTS, MOTIONLESS, config_from_mapping, load_config
 
 
 def run(argv):
@@ -313,11 +313,11 @@ class TestConverge:
         assert payload["steps_per_period"] == 4096
 
     @pytest.mark.parametrize("scheme", [["nspring"], ["lumped", "--steps-per-period", "64"]], ids=["nspring", "lumped"])
-    def test_failed_fit_writes_no_file(self, tmp_path, capsys, scheme):
-        # eps_tilde = 0 makes every error zero, and the fit refuses them after the table is computed
+    def test_motionless_arm_writes_no_file(self, tmp_path, capsys, scheme):
+        # eps_tilde = 0 makes every error zero, which has no rate: the study refuses it before computing a table
         config, out = write_config(tmp_path, eps_tilde=0.0), tmp_path / "out"
         assert run(["converge", "--config", config, "--out", out, "--n-list", "8,16,32", "--scheme", *scheme]) == 1
-        assert capsys.readouterr().err == "error: errors must be strictly positive for a log-log fit\n"
+        assert capsys.readouterr().err == f"error: {MOTIONLESS}\n"
         assert not out.exists()
 
     def test_norm_past_square_range(self, tmp_path, capsys):
@@ -712,12 +712,29 @@ class TestAnalytic:
         assert payload["k_omega"] == pytest.approx(0.05960859291831286, rel=1e-12)
 
     def test_overflowing_discriminant_fails_cleanly(self, tmp_path, capsys):
-        # k_omega ~ 6e-164: delta = c (c + 4) is not finite, so neither closed-form command writes a file
+        # k_omega ~ 6e-164: delta = c (c + 4) is not finite, so analytic, which writes it, writes no file
         config, out = write_config(tmp_path, n_springs=1, k_tilde=1e-170), tmp_path / "out"
-        for command in (["analytic"], ["simulate"]):
-            assert run([*command, "--samples", "2", "--config", config, "--out", out]) == 1
-            assert "chain mode out of float range" in capsys.readouterr().err
+        assert run(["analytic", "--samples", "2", "--config", config, "--out", out]) == 1
+        assert "chain mode out of float range" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("overrides", [{"n_springs": 1, "k_tilde": 1e-170}, {"n_springs": 2, "omega": 1e160}])
+    def test_discriminant_alone_stops_only_analytic(self, tmp_path, capsys, overrides):
+        # s and b_d are finite and delta is not: simulate writes no delta and succeeds, with the mode's own node
+        # values, while analytic refuses delta by name
+        config = write_config(tmp_path, **overrides)
+        mode = build_discrete_mode(*load_config(config))
+        assert run(["simulate", "--samples", "2", "--config", config, "--out", tmp_path / "simulate"]) == 0
+        _, rows = read_csv(tmp_path / "simulate" / "elongations.csv")
+        values = np.array(rows, dtype=float)
+        assert np.all(np.isfinite(values)) and np.array_equal(values[:, 1:], mode.node_values(values[:, 0]))
+        _, rows = read_csv(tmp_path / "simulate" / "positions.csv")
+        assert np.all(np.isfinite(np.array(rows, dtype=float)))
+        capsys.readouterr()
+        assert run(["analytic", "--samples", "2", "--config", config, "--out", tmp_path / "analytic"]) == 1
+        message = f"k_omega={mode.k_omega!r}, n={mode.n}: chain mode out of float range (delta={mode.delta!r})"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "analytic").exists()
 
     @pytest.mark.parametrize("overrides", [{"n_springs": 20}, {"n_springs": 300, "k_tilde": 1e21}])
     def test_json_is_the_mode_fields(self, tmp_path, overrides):
@@ -831,8 +848,7 @@ FAILURES = {
     "simulate-config-eps-tilde-out-of-box": ('{"eps_tilde": 1.5}', ["simulate"], None),
     "simulate-mid-stream": ('{"n_springs": 1000}', ["simulate"],
                             "unphysical state: non-positive cumulative arm length"),
-    "converge-failed-fit": ('{"eps_tilde": 0.0}', ["converge", "--n-list", "8,16,32"],
-                            "errors must be strictly positive for a log-log fit"),
+    "converge-motionless": ('{"eps_tilde": 0.0}', ["converge", "--n-list", "8,16,32"], MOTIONLESS),
     "converge-n-list-short": (None, ["converge", "--n-list", "8,16"], None),
     "converge-steps-negative": (None, ["converge", "--scheme", "lumped", "--steps-per-period", "-4"], None),
     "converge-config-zero-springs": ('{"n_springs": 0}', ["converge"], None),
@@ -855,9 +871,16 @@ FAILURES = {
     "optimize-bracket-inf": (None, ["optimize", "--bracket", "1e-2", "inf"], None),
     "optimize-rel-tol-negative": (None, ["optimize", "--rel-tol", "-1e-3"], None),
     "optimize-config-negative-arm": ('{"L": -1}', ["optimize"], None),
+    "optimize-motionless": ('{"eps_tilde": 0.0}', ["optimize"], MOTIONLESS),
     "analytic-samples-negative": (None, ["analytic", "--samples", "-1"], None),
     "analytic-config-eps-tilde-negative": ('{"eps_tilde": -0.1}', ["analytic"], None),
-    "analytic-delta-overflow": ('{"n_springs": 1, "k_tilde": 1e-170}', ["analytic", "--samples", "2"], None),
+    "analytic-delta-overflow": ('{"n_springs": 1, "k_tilde": 1e-170}', ["analytic", "--samples", "2"],
+                                "k_omega=5.960859291831286e-164, n=1: chain mode out of float range "
+                                "(delta=(-inf+6.710441908067798e+163j))"),
+    # k_omega ~ 6e-310: c = i/(k_omega n^2) overflows, so s is not finite and neither closed-form command runs
+    "simulate-chain-overflow": ('{"n_springs": 1, "omega": 1e308}', ["simulate", "--samples", "2"],
+                                "k_omega=5.9608592918313e-310, n=1: chain mode out of float range "
+                                "(s=(nan+nanj), b_d=(nan+nanj))"),
     # numeric blow-ups, each refused where its value is formed: a head velocity past the float range (an
     # infinite a_tilde*K times a zero sum, an infinite a1*omega, an infinite coupling*K), and stencils that
     # overflow in Python floats, (inf, inf, -inf), which no numpy flag sees
@@ -888,12 +911,15 @@ FAILURES = {
     "converge-harmonic-overflow": (STENCIL_OVERFLOW, ["converge", "--n-list", "8,16,32"],
                                    "harmonic system must not contain infs or NaNs"),
     "optimize-harmonic-overflow": (STENCIL_OVERFLOW, ["optimize"], "harmonic system must not contain infs or NaNs"),
-    # Lambda sqrt(2 k_omega) underflows, so the continuum reference's r = (r Lambda)/Lambda overflows
-    "converge-boundary-layer-underflow": (
-        '{"Lambda": 1e-200, "k_tilde": 1e-250, "n_springs": 2}',
+    # 2 k_omega coupling overflows, so the continuum reference's b is NaN; the study builds that reference at
+    # Lambda/4**m, near 1 (here 3.18e81/4**135), and eps/2**p: the message names those scales and the coupling
+    "converge-reference-overflow": (
+        '{"a1": 3.394796927451234e-183, "Lambda": 3.1848274932758444e+81, "k_tilde": 3.1177957698374256e+273, '
+        '"n_springs": 50, "eps_tilde": 0.7}',
         ["converge", "--n-list", "8,16,32"],
-        "k_omega=5.960859291831287e-244, Lambda=1e-200: continuous mode out of float range "
-        "(r=(inf+infj), b=(-3.0410241292294817e+116-3.0410241292294817e+116j))"),
+        "continuum reference at Lambda/4**135, eps/2**-15, coupling=1.4728421483973506e+177: "
+        "k_omega=1.8584741884667697e+280, Lambda=1.6787540924578315: continuous mode out of float range "
+        "(r=(3.0897237478293325e-141+3.0897237478293325e-141j), b=(nan+nanj))"),
     # derived scalars refused at load, where SwimmerParams forms them
     "analytic-infinite-coupling": ('{"n_springs": 3, "a1": 1e-320}', ["analytic", "--samples", "2"],
                                    "config {config}: coupling a_tilde/(2 a1) must be finite, got inf"),
@@ -980,9 +1006,11 @@ class TestErrorHandling:
         *[('{"a1": 4.7309180829802365e+53, "L": 3.092800865972206e+282, "k_tilde": 1.1978645524870567e+263, '
            '"n_springs": 5, "eps_tilde": 0.7}', ["simulate", "--scheme", scheme, "--samples", "8"])
           for scheme in ("analytic", "lumped")],
-    ], ids=["converge", "simulate-lumped", "simulate-analytic-head", "simulate-lumped-head"])
+        # Lambda sqrt(2 k_omega) underflows, so the continuum reference's r = (r Lambda)/Lambda overflowed in 1/m
+        ('{"Lambda": 1e-200, "k_tilde": 1e-250, "n_springs": 2}', ["converge", "--n-list", "8,16,32"]),
+    ], ids=["converge", "simulate-lumped", "simulate-analytic-head", "simulate-lumped-head", "converge-boundary-layer"])
     def test_lengths_far_from_a_metre_succeed(self, tmp_path, capsys, config, argv):
-        # each failed while fem and the head velocity formed products of lengths in metres
+        # each failed while fem, the head velocity or the convergence study formed products of lengths in metres
         (tmp_path / "config.json").write_text(config)
         assert run([*argv, "--config", tmp_path / "config.json", "--out", tmp_path / "out"]) == 0
         for path in (tmp_path / "out").iterdir():

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import functools
 import math
+import re
 import signal
 import tracemalloc
 import warnings
@@ -28,7 +29,7 @@ from springswim.displacement import (
     sweep,
 )
 from springswim.fem import MassVariant, assemble, harmonic_state
-from springswim.model import DEFAULTS, config_from_mapping, params_for_k_omega
+from springswim.model import DEFAULTS, MOTIONLESS, config_from_mapping, params_for_k_omega
 
 # argmax of |displacement| on the 100-point log grid over [1e-2, 1e2],
 # reference parameters, eps_tilde = 0.7; cross-checked during development
@@ -742,6 +743,13 @@ class TestOptimize:
         for rel_tol in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="rel_tol must be positive and finite"):
                 optimize_k_omega(params, forcing, rel_tol=rel_tol)
+
+    def test_motionless_arm_is_refused_up_front(self, monkeypatch):
+        # at eps_tilde = 0 every drift is exactly 0, so no bracket holds an extremum: refused before any evaluation
+        params, forcing = default_pair(n_springs=100, eps_tilde=0.0)
+        monkeypatch.setattr(displacement, "stroke_displacement_discrete", None)
+        with pytest.raises(ValueError, match="^" + re.escape(MOTIONLESS) + "$"):
+            optimize_k_omega(params, forcing)
 
     def test_no_interior_extremum_detected(self):
         # |displacement| decreases on [10, 100] and increases on [1e-4, 1e-2]: the search keeps that

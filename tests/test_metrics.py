@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from springswim import metrics
 from springswim.analytic import build_continuous_mode, build_discrete_mode
 from springswim.fem import MassVariant
 from springswim.metrics import (
@@ -18,7 +19,7 @@ from springswim.metrics import (
     h1_seminorm,
     l2_norm,
 )
-from springswim.model import config_from_mapping
+from springswim.model import MOTIONLESS, config_from_mapping
 
 from inner_products import discrete_inner_products, l2_inner, norm_equivalence_check
 
@@ -291,6 +292,23 @@ class TestConvergenceStudy:
                 params, forcing, variant, [25, 50, 100], steps_per_period=4096
             )
             assert fit_rate(records, "l2").slope == pytest.approx(2.0, abs=0.15)
+
+    @pytest.mark.parametrize("variant", list(MassVariant))
+    def test_motionless_arm_is_refused_up_front(self, variant, monkeypatch):
+        # at eps_tilde = 0 every error is exactly 0 and has no rate: refused before any grid is assembled
+        params, forcing = config_from_mapping({"eps_tilde": 0.0})
+        monkeypatch.setattr(metrics, "assemble", None)
+        with pytest.raises(ValueError) as excinfo:
+            convergence_study(params, forcing, variant, [8, 16, 32])
+        assert str(excinfo.value) == MOTIONLESS
+
+    def test_subnormal_eps_tilde(self):
+        # eps_tilde = 1e-310 at L = 1e10 m: L/2**p for p the exponent of eps = L eps_tilde would overflow, so p is
+        # at least L's exponent less 1000, and the errors are positive finite doubles, as in metres
+        params, forcing = config_from_mapping({"eps_tilde": 1e-310, "L": 1e10})
+        records = convergence_study(params, forcing, MassVariant.NSPRING, [8, 16, 32])
+        errors = np.array([(record.l2_error, record.h1_error) for record in records])
+        assert np.all(errors > 0.0) and np.all(np.isfinite(errors))
 
     def test_numpy_n_list(self):
         params, forcing = config_from_mapping({})

@@ -94,7 +94,7 @@ COMMANDS = [
     ("error_converge_bad_n_list", None, ["converge", "--n-list", "25,abc,50"]),
     ("error_config_unknown_key", {"stiffness": 1.0}, ["analytic"]),
     ("error_config_root_not_object", [1], ["analytic"]),
-    # every error is zero, so the rate fit fails after the table is computed: neither file is left
+    # eps_tilde = 0: every error is zero and has no rate, refused before any table is computed
     ("error_converge_motionless", {"eps_tilde": 0.0}, ["converge", "--n-list", "8,16,32"]),
     # k_omega about 5.96e-164: s and b_d are finite, but the discriminant c (c + 4) overflows
     ("error_analytic_delta_overflow", {"n_springs": 1, "k_tilde": 1e-170}, ["analytic", "--samples", "2"]),
@@ -108,9 +108,24 @@ COMMANDS = [
      {"a_tilde": 1.3851714533727236e+23, "Lambda": 4.1904315550649165e+194, "L": 6.094858334111226e+87,
       "omega": 2.6476524888807593e+204, "n_springs": 1, "eps_tilde": 0.999},
      ["converge", "--n-list", "8,16,32"]),
-    # numeric blow-ups fail with one line: a head velocity past the float range, stiffness stencils whose
+    # a boundary layer far below a metre: its r in 1/m overflows, but the study runs at Lambda/4**m
+    ("converge_boundary_layer_underflow", {"Lambda": 1e-200, "k_tilde": 1e-250, "n_springs": 2},
+     ["converge", "--n-list", "8,16,32"]),
+    ("converge_boundary_layer_far_below_a_metre", {"Lambda": 1e-250, "omega": 1e200},
+     ["converge", "--n-list", "8,16,32"]),
+    # s and b_d are finite, but the discriminant delta = c (c + 4) is not: simulate, which writes no delta, succeeds
+    *[(label, {"n_springs": 2, "omega": 1e160}, args)
+      for label, args in (("simulate_delta_overflow", ["simulate", "--samples", "8"]),
+                          ("error_analytic_delta_overflow_n2", ["analytic", "--samples", "2"]))],
+    # every length (and k_tilde, so that K stays) times 1e-250: the L2 errors pass the float range, refused by name
+    ("error_converge_lengths_1e-250",
+     {"a_tilde": 1e-255, "a1": 1e-255, "Lambda": 4e-254, "L": 3e-255, "k_tilde": 1e-258},
+     ["converge", "--n-list", "8,16,32"]),
+    # eps_tilde = 0: every error and every drift is exactly 0, refused up front
+    ("error_optimize_motionless", {"eps_tilde": 0.0}, ["optimize"]),
+    # numeric blow-ups fail with one line: a head velocity past the float range, and stiffness stencils whose
     # K n overflows in Python floats at Lambda = 1 m (refused by Crank-Nicolson and by the harmonic solve on
-    # its stencil scalars), and a continuum reference whose r overflows
+    # its stencil scalars)
     ("error_simulate_velocity_invalid",
      {"a_tilde": 7.208166483600289e+224, "a1": 9.406300878363314e+50, "Lambda": 761409092.1376953,
       "L": 6.897820557790091e+275, "k_tilde": 4.4336706824525126e+63, "mu": 6.605892088843597e-290,
@@ -120,7 +135,10 @@ COMMANDS = [
      ["simulate", "--scheme", "lumped", "--samples", "8"]),
     ("error_converge_harmonic_overflow", {"Lambda": 1.0, "k_tilde": 1e301, "omega": 1e306},
      ["converge", "--n-list", "8,16,32"]),
-    ("error_converge_boundary_layer_underflow", {"Lambda": 1e-200, "k_tilde": 1e-250, "n_springs": 2},
+    # the continuum reference's b is NaN (2 k_omega coupling overflows): refused, naming the study's scales
+    ("error_converge_reference_overflow",
+     {"a1": 3.394796927451234e-183, "Lambda": 3.1848274932758444e+81, "k_tilde": 3.1177957698374256e+273,
+      "n_springs": 50, "eps_tilde": 0.7},
      ["converge", "--n-list", "8,16,32"]),
     # derived scalars refused at load: a coupling a_tilde/(2 a1) that overflows and a spacing Lambda/N that underflows
     ("error_analytic_infinite_coupling", {"n_springs": 3, "a1": 1e-320}, ["analytic", "--samples", "2"]),

@@ -11,8 +11,10 @@ springswim.cli.main from CHECKOUT/src, so under the CLI's own float policy. The 
 command, its count of successes and one line per distinct stderr line with its count; numbers
 are written as # and the temporary directory as <tmp>, so lines that differ only in values are
 one line. Then the totals, and the count of failures in numpy's words ("encountered in"), which
-name no value. Two runs give the same bytes, so `diff` of two tallies (for example against
-`git archive` of the parent) shows what a change did to the failure surface.
+name no value. One line per run follows, "config# command: outcome" in the order the runs were
+made, the outcome written as in the summary, so a diff names each run that flipped.
+Two runs give the same bytes, so `diff` of two tallies (for example against `git archive` of the
+parent) shows what a change did to the failure surface.
 """
 
 from __future__ import annotations
@@ -60,10 +62,10 @@ def tally(checkout: Path) -> list[str]:
     sys.path.insert(0, str(src))
     from springswim.cli import main
 
-    outcomes = collections.Counter()
+    outcomes, run_lines = collections.Counter(), []
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp, "config.json"), Path(tmp, "out")
-        for config in configs():
+        for index, config in enumerate(configs()):
             path.write_text(json.dumps(config))
             for argv in COMMANDS:
                 err = io.StringIO()
@@ -71,6 +73,7 @@ def tally(checkout: Path) -> list[str]:
                     code = main([*argv, "--config", str(path), "--out", str(out)])
                 line = "ok" if code == 0 else NUMBER.sub("#", err.getvalue().strip().replace(tmp, "<tmp>"))
                 outcomes[" ".join(argv), line] += 1
+                run_lines.append(f"{index} {' '.join(argv)}: {line}")
                 shutil.rmtree(out, ignore_errors=True)
     lines = []
     for argv in COMMANDS:
@@ -81,7 +84,7 @@ def tally(checkout: Path) -> list[str]:
     ok = sum(count for (_, line), count in outcomes.items() if line == "ok")
     numpy_worded = sum(count for (_, line), count in outcomes.items() if "encountered in" in line)
     lines.append(f"total: {ok} of {sum(outcomes.values())} runs succeed, {numpy_worded} fail in numpy's words")
-    return lines
+    return lines + run_lines
 
 
 if __name__ == "__main__":
